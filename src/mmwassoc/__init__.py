@@ -21,7 +21,6 @@ from .channel import (
 )
 from .dual_solver import (
     DistributedRun,
-    DualState,
     MessageCounts,
     SolveReport,
     client_subproblem,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -116,7 +117,8 @@ def _cast_config_value(key: str, value, kind: type):
             raise ValueError(f"{key} must be true or false, got {value!r}")
         return value
     if kind is int:
-        if float(value) != int(value):
+        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not integral:
             raise ValueError(f"{key} must be an integer, got {value!r}")
         return int(value)
     return float(value)
@@ -180,6 +182,13 @@ def slots_csv(result) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    if args.iters < 1 or not 0.0 < args.step_scale < math.inf:
+        print(
+            f"error: need --iters >= 1 and a positive finite --step-scale, "
+            f"got {args.iters} and {args.step_scale}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         doc = json.loads(Path(args.instance).read_text())
     except (OSError, json.JSONDecodeError) as exc:

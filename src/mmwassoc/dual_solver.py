@@ -9,7 +9,8 @@ assignment seen so far.
 
 The distributed variant runs the identical arithmetic staged as protocol
 rounds (AP price broadcast, client decision, binary client signal, per-AP
-accumulation, AP-coordinated projection) and counts the messages.
+accumulation, AP-coordinated projection) and reports the messages those
+rounds send.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Assignment, Instance
+from .instance import Assignment, Instance, per_ap_loads
 
 __all__ = [
-    "DualState",
     "SolveReport",
     "MessageCounts",
     "DistributedRun",
@@ -38,22 +38,6 @@ __all__ = [
 ]
 
 TRACE_COLUMNS = ("k", "g_lambda", "t_k", "g_best", "p_best")
-
-
-@dataclass
-class DualState:
-    """Mutable state of one solver run.
-
-    `best_dual` is nondecreasing and `best_primal` nonincreasing in the
-    iteration counter; weak duality keeps best_dual <= best_primal.
-    """
-
-    prices: np.ndarray  # per-AP prices on the unit simplex
-    iteration: int  # iterations completed
-    best_dual: float
-    best_primal: float
-    best_assignment: tuple[int, ...] | None
-    step_scale: float  # a in the a/k step schedule
 
 
 @dataclass
@@ -90,13 +74,8 @@ def client_subproblem(inst: Instance, prices: np.ndarray, j: int) -> int:
     Returns argmin over the client's candidates of beta*price; ties go to
     the smallest AP index.
     """
-    best_ap = -1
-    best_val = math.inf
-    for i in inst.candidates_of_client[j]:
-        val = inst.beta[(i, j)] * prices[i]
-        if val < best_val:
-            best_ap, best_val = i, val
-    return best_ap
+    weighted = inst.beta * np.asarray(prices, dtype=float)[inst.pairs.ap]
+    return int(inst.pairs.ap[inst.pairs.first_argmin(weighted)[j]])
 
 
 def dual_value(inst: Instance, prices: np.ndarray) -> float:
@@ -108,10 +87,7 @@ def dual_value(inst: Instance, prices: np.ndarray) -> float:
 def subgradient(inst: Instance, assignment: Assignment) -> np.ndarray:
     """Per-AP subgradient component u_i = -(utilization of AP i) under the
     assignment produced by the client subproblems."""
-    loads = np.zeros(inst.n_aps)
-    for j, i in enumerate(assignment.ap_of_client):
-        loads[i] += inst.beta[(i, j)]
-    return -loads
+    return -per_ap_loads(inst, assignment.ap_of_client)
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -143,18 +119,11 @@ def _iterate_subproblems(
     Per-client segments are AP-ascending, so taking the first minimum in each
     segment reproduces the scalar tie-break exactly.
     """
-    pairs = inst.pairs
-    if pairs.client.size == 0:
-        loads = np.zeros(inst.n_aps)
-        return np.zeros(0, dtype=np.int64), loads, 0.0, -loads
-    weighted = pairs.beta * prices[pairs.ap]
-    seg_min = np.minimum.reduceat(weighted, pairs.start)
-    at_min = weighted <= seg_min[pairs.client]
-    pair_idx = np.where(at_min, np.arange(weighted.size), weighted.size)
-    winner = np.minimum.reduceat(pair_idx, pairs.start)
-    chosen_ap = pairs.ap[winner]
+    weighted = inst.beta * prices[inst.pairs.ap]
+    winner = inst.pairs.first_argmin(weighted)
+    chosen_ap = inst.pairs.ap[winner]
     g = float(np.sum(weighted[winner]))
-    loads = np.bincount(chosen_ap, weights=pairs.beta[winner], minlength=inst.n_aps)
+    loads = np.bincount(chosen_ap, weights=inst.beta[winner], minlength=inst.n_aps)
     return chosen_ap, loads, g, -loads
 
 
@@ -164,7 +133,6 @@ def _run(
     step_scale: float,
     trace: bool,
     collect_prices: bool,
-    messages: MessageCounts | None,
 ) -> SolveReport:
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -172,53 +140,36 @@ def _run(
         raise ValueError("step_scale must be strictly positive")
     if inst.n_aps < 1:
         raise ValueError("instance has no APs")
-    n, m = inst.n_aps, inst.n_clients
-    state = DualState(
-        prices=np.full(n, 1.0 / n),
-        iteration=0,
-        best_dual=-math.inf,
-        best_primal=math.inf,
-        best_assignment=None,
-        step_scale=step_scale,
-    )
+    prices = np.full(inst.n_aps, 1.0 / inst.n_aps)
+    # best_dual is nondecreasing and best_primal nonincreasing in k; weak
+    # duality keeps best_dual <= best_primal
+    best_dual, best_primal = -math.inf, math.inf
+    best_assignment: tuple[int, ...] = ()
     trace_rows: list[tuple[int, float, float, float, float]] | None = [] if trace else None
     price_rows: list[np.ndarray] | None = [] if collect_prices else None
 
     for k in range(1, max_iters + 1):
         if price_rows is not None:
-            price_rows.append(state.prices.copy())
-        if messages is not None:
-            # every AP broadcasts its price to its local clients
-            messages.broadcasts += n
-        chosen_ap, loads, g, u = _iterate_subproblems(inst, state.prices)
-        if messages is not None:
-            # each client signals (one bit) only the AP it picked, which then
-            # sums beta over its signalling clients locally
-            messages.client_signals += m
+            price_rows.append(prices.copy())
+        chosen_ap, loads, g, u = _iterate_subproblems(inst, prices)
         t_k = float(loads.max(initial=0.0))
-        if t_k < state.best_primal:
-            state.best_primal = t_k
-            state.best_assignment = tuple(int(i) for i in chosen_ap)
-        if g > state.best_dual:
-            state.best_dual = g
-        state.iteration = k
+        if t_k < best_primal:
+            best_primal = t_k
+            best_assignment = tuple(int(i) for i in chosen_ap)
+        if g > best_dual:
+            best_dual = g
         if trace_rows is not None:
-            trace_rows.append((k, g, t_k, state.best_dual, state.best_primal))
-        if messages is not None:
-            # AP 1 acts as coordinator: gathers the u components, performs the
-            # projection, and redistributes the new prices
-            messages.coordination_rounds += 1
-        state.prices = project_simplex(state.prices - (step_scale / k) * u)
+            trace_rows.append((k, g, t_k, best_dual, best_primal))
+        prices = project_simplex(prices - (step_scale / k) * u)
 
-    assert state.best_assignment is not None
-    assignment = Assignment(ap_of_client=state.best_assignment, objective=state.best_primal)
+    assignment = Assignment(ap_of_client=best_assignment, objective=best_primal)
     # summation rounding can push the dual a few ulps past an exactly optimal
     # primal; the certificate is still a width, never negative
-    gap = max(0.0, state.best_primal - state.best_dual)
+    gap = max(0.0, best_primal - best_dual)
     return SolveReport(
-        iterations_run=state.iteration,
-        dual_value=state.best_dual,
-        primal_value=state.best_primal,
+        iterations_run=max_iters,
+        dual_value=best_dual,
+        primal_value=best_primal,
         assignment=assignment,
         gap_certificate=gap,
         per_iteration_trace=trace_rows,
@@ -240,7 +191,7 @@ def run_daa(
     with size step_scale/k before re-projecting.  Runs for exactly
     `max_iters` iterations (fixed budget, reproducible traces).
     """
-    return _run(inst, max_iters, step_scale, trace, collect_prices, messages=None)
+    return _run(inst, max_iters, step_scale, trace, collect_prices)
 
 
 def run_daa_distributed(
@@ -254,9 +205,17 @@ def run_daa_distributed(
 
     The arithmetic is identical to `run_daa` (bitwise, including tie-breaks),
     so both produce the same price trajectory and the same best assignment.
+    Every iteration, each AP broadcasts its price to its local clients, each
+    client signals (one bit) only the AP it picked, which then sums beta over
+    its signalling clients locally, and AP 1 acts as coordinator: it gathers
+    the u components, projects, and redistributes the new prices.
     """
-    messages = MessageCounts()
-    report = _run(inst, max_iters, step_scale, trace, collect_prices, messages=messages)
+    report = _run(inst, max_iters, step_scale, trace, collect_prices)
+    messages = MessageCounts(
+        broadcasts=inst.n_aps * max_iters,
+        client_signals=inst.n_clients * max_iters,
+        coordination_rounds=max_iters,
+    )
     return DistributedRun(report=report, messages=messages)
 
 
@@ -271,9 +230,7 @@ def convergence_bound(inst: Instance, step_scale: float, k: int) -> float:
         raise ValueError("k must be >= 1")
     if not step_scale > 0.0:
         raise ValueError("step_scale must be strictly positive")
-    per_ap = np.zeros(inst.n_aps)
-    for (i, _), b in inst.beta.items():
-        per_ap[i] += b
+    per_ap = np.bincount(inst.pairs.ap, weights=inst.beta, minlength=inst.n_aps)
     g_sq = float(np.sum(per_ap**2))
     harmonic = float(np.sum(1.0 / np.arange(1, k + 1)))
     numerator = 1.0 + step_scale**2 * g_sq * math.pi**2 / 12.0
@@ -286,13 +243,10 @@ def duality_gap_bound(inst: Instance) -> float:
     Independent of the number of clients, hence the relative gap vanishes as
     the network fills up.
     """
-    if not inst.beta:
+    if inst.beta.size == 0:
         return 0.0
-    overall_max = max(inst.beta.values())
-    worst_client_min = max(
-        min(inst.beta[(i, j)] for i in cands)
-        for j, cands in enumerate(inst.candidates_of_client)
-    )
+    overall_max = float(inst.beta.max())
+    worst_client_min = float(np.minimum.reduceat(inst.beta, inst.pairs.start).max())
     return (inst.n_aps + 1) * (overall_max + worst_client_min)
 
 

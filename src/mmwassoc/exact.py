@@ -68,21 +68,17 @@ def enumerate_assignments(inst: Instance, limit: int = ENUMERATION_LIMIT) -> Exa
             f"search space {product:.3g} exceeds the enumeration limit {limit}"
         )
     count = int(round(product))
+    pairs = inst.pairs
+    sizes = pairs.sizes.tolist()
     loads = np.zeros((1, inst.n_aps))
-    for j, cands in enumerate(inst.candidates_of_client):
-        contrib = np.zeros((len(cands), inst.n_aps))
-        for pos, i in enumerate(cands):
-            contrib[pos, i] = inst.beta[(i, j)]
+    for lo, size in zip(pairs.start.tolist(), sizes):
+        contrib = np.zeros((size, inst.n_aps))
+        contrib[np.arange(size), pairs.ap[lo : lo + size]] = inst.beta[lo : lo + size]
         loads = (loads[:, None, :] + contrib[None, :, :]).reshape(-1, inst.n_aps)
     objectives = loads.max(axis=1, initial=0.0)
     best = int(np.argmin(objectives))
-    # decode the mixed-radix combination index back into per-client choices
-    choice: list[int] = []
-    idx = best
-    for cands in reversed(inst.candidates_of_client):
-        choice.append(cands[idx % len(cands)])
-        idx //= len(cands)
-    choice.reverse()
+    # the row index is mixed-radix in the candidate-set sizes, last client fastest
+    choice = pairs.ap[pairs.start + np.unravel_index(best, sizes)].tolist()
     return ExactResult(
         optimal_value=float(objectives[best]),
         assignment=make_assignment(inst, choice),
@@ -90,15 +86,18 @@ def enumerate_assignments(inst: Instance, limit: int = ENUMERATION_LIMIT) -> Exa
     )
 
 
-def _greedy_assignment(inst: Instance, order: list[int]) -> list[int]:
+def _greedy_assignment(
+    n_aps: int, options: list[list[tuple[float, int]]], order: list[int]
+) -> list[int]:
     """Longest-processing-time style warm start: hardest clients first, each
-    to its least-loaded candidate AP."""
-    loads = [0.0] * inst.n_aps
-    ap_of_client = [-1] * inst.n_clients
+    to its least-loaded candidate AP.  `options[j]` lists client j's
+    (beta, ap) pairs, AP-ascending."""
+    loads = [0.0] * n_aps
+    ap_of_client = [-1] * len(options)
     for j in order:
         best_i, best_load = -1, math.inf
-        for i in inst.candidates_of_client[j]:
-            new = loads[i] + inst.beta[(i, j)]
+        for b, i in options[j]:
+            new = loads[i] + b
             if new < best_load:
                 best_i, best_load = i, new
         ap_of_client[j] = best_i
@@ -128,23 +127,24 @@ def branch_and_bound(
     stops as soon as the incumbent is within 1e-12 of it.
     """
     n = inst.n_aps
-    cheapest = [
-        min(inst.beta[(i, j)] for i in cands)
-        for j, cands in enumerate(inst.candidates_of_client)
+    pairs = inst.pairs
+    cheapest = np.minimum.reduceat(inst.beta, pairs.start).tolist()
+    client_options = [
+        list(zip(betas, aps))
+        for betas, aps in zip(pairs.per_client(inst.beta), pairs.per_client(pairs.ap))
     ]
     base_loads = [0.0] * n
     base_map = [-1] * inst.n_clients
     branchable = []
-    for j, cands in enumerate(inst.candidates_of_client):
-        if len(cands) == 1:
-            base_map[j] = cands[0]
-            base_loads[cands[0]] += inst.beta[(cands[0], j)]
+    for j, opts in enumerate(client_options):
+        if len(opts) == 1:
+            b, i = opts[0]
+            base_map[j] = i
+            base_loads[i] += b
         else:
             branchable.append(j)
     order = sorted(branchable, key=lambda j: -cheapest[j])
-    options = [
-        [(inst.beta[(i, j)], i) for i in inst.candidates_of_client[j]] for j in order
-    ]
+    options = [client_options[j] for j in order]
     depth_count = len(order)
     # forced utilization of the not-yet-branched suffix, and its largest term
     suffix_sum = [0.0] * (depth_count + 1)
@@ -155,7 +155,7 @@ def branch_and_bound(
         suffix_max[d] = max(suffix_max[d + 1], rho)
 
     greedy_order = sorted(range(inst.n_clients), key=lambda j: -cheapest[j])
-    incumbent_map = _greedy_assignment(inst, greedy_order)
+    incumbent_map = _greedy_assignment(n, client_options, greedy_order)
     incumbent_val = float(per_ap_loads(inst, incumbent_map).max(initial=0.0))
     if warm_start is not None:
         ws_val = float(per_ap_loads(inst, warm_start.ap_of_client).max(initial=0.0))
@@ -312,12 +312,11 @@ def _lp_matrix(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     implied by the convexity rows, so no explicit upper-bound rows.
     """
     pairs = inst.pairs
-    n, m, p = inst.n_aps, inst.n_clients, pairs.beta.size
+    n, m, p = inst.n_aps, inst.n_clients, inst.beta.size
     a_mat = np.zeros((n + m, 1 + p + n))
     a_mat[:n, 0] = -1.0
-    for idx in range(p):
-        a_mat[pairs.ap[idx], 1 + idx] = pairs.beta[idx]
-        a_mat[n + pairs.client[idx], 1 + idx] = 1.0
+    a_mat[pairs.ap, 1 + np.arange(p)] = inst.beta
+    a_mat[n + pairs.client, 1 + np.arange(p)] = 1.0
     a_mat[:n, 1 + p : 1 + p + n] = np.eye(n)
     b = np.concatenate([np.zeros(n), np.ones(m)])
     c = np.zeros(1 + p + n)
@@ -329,11 +328,8 @@ def solve_lp_relaxation(inst: Instance) -> ExactResult:
     """Optimal value of the continuous relaxation (equals the dual optimum)."""
     a_mat, b, c = _lp_matrix(inst)
     x, obj, basis, pivots = _two_phase_simplex(a_mat, b, c)
-    pairs = inst.pairs
-    fractional = {
-        (int(pairs.ap[idx]), int(pairs.client[idx])): float(x[1 + idx])
-        for idx in range(pairs.beta.size)
-    }
+    keys = zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist())
+    fractional = dict(zip(keys, x[1 : 1 + inst.beta.size].tolist()))
     basis_cols = a_mat[:, basis]
     duals = np.linalg.solve(basis_cols.T, c[basis])
     return ExactResult(
@@ -349,12 +345,11 @@ def lp_cs_residual(inst: Instance, result: ExactResult) -> float:
     if result.fractional is None or result.duals is None:
         raise ValueError("result does not carry an LP solution with duals")
     a_mat, b, c = _lp_matrix(inst)
-    pairs = inst.pairs
-    p = pairs.beta.size
+    p = inst.beta.size
     x = np.zeros(1 + p + inst.n_aps)
     x[0] = result.optimal_value
-    for idx in range(p):
-        x[1 + idx] = result.fractional[(int(pairs.ap[idx]), int(pairs.client[idx]))]
+    keys = zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist())
+    x[1 : 1 + p] = [result.fractional[key] for key in keys]
     # recover the slack values from the AP rows
     x[1 + p :] = b[: inst.n_aps] - a_mat[: inst.n_aps, : 1 + p] @ x[: 1 + p]
     residual = float(np.max(np.abs(a_mat @ x - b), initial=0.0))

@@ -1,14 +1,16 @@
-"""Association problem data: candidate sets, utilization matrix, pruning, fixtures.
+"""Association problem data: candidate pairs, utilizations, pruning, fixtures.
 
-The optimization data is sparse by construction: a (ap, client) pair exists
-only when the client sits in the AP's candidate set.  Candidate sets are the
-semantic ground truth; the utilization and rate matrices are dicts keyed by
-those pairs.  All iteration orders are deterministic (clients ascending,
-APs ascending within a client).
+The optimization data is sparse by construction: an (ap, client) pair exists
+only when the client sits in the AP's candidate set.  Pairs are stored once,
+as flat client-major arrays (clients ascending, APs ascending within a
+client); utilizations and rates are per-pair arrays aligned with them, and
+the candidate-set tuples are views derived from the pairs.  Dicts keyed by
+(ap, client) appear only at the input boundary and in the JSON document.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -17,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "InfeasibleClientError",
+    "Pairs",
     "Topology",
     "Instance",
     "Assignment",
@@ -45,37 +48,80 @@ class InfeasibleClientError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class Topology:
-    """AP and client planar positions plus the geometric candidate sets."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """(ap, client) pairs sorted by (client, ap), as read-only int64 arrays.
+
+    `start[j]` is the index of client j's first pair.  Every client owns a
+    nonempty contiguous AP-ascending segment, so the first minimum in a
+    segment is the smallest-index tie-break.
+    """
+
+    client: np.ndarray  # (P,)
+    ap: np.ndarray  # (P,)
+    start: np.ndarray  # (M,)
+
+    @classmethod
+    def from_sorted(cls, client: np.ndarray, ap: np.ndarray, n_clients: int) -> Pairs:
+        start = np.searchsorted(client, np.arange(n_clients))
+        return cls(_frozen(client.astype(np.int64)), _frozen(ap.astype(np.int64)), _frozen(start))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Candidate-set size of every client."""
+        return np.diff(self.start, append=self.client.size)
+
+    def first_argmin(self, values: np.ndarray) -> np.ndarray:
+        """Per client, the index of the first pair minimizing `values`."""
+        seg_min = np.minimum.reduceat(values, self.start)
+        at_min = values <= seg_min[self.client]
+        pair_idx = np.where(at_min, np.arange(values.size), values.size)
+        return np.minimum.reduceat(pair_idx, self.start)
+
+    def per_client(self, values: np.ndarray) -> list[list]:
+        """Split a per-pair array into one Python list per client."""
+        flat = values.tolist()
+        bounds = [*self.start.tolist(), len(flat)]
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class _CandidateViews:
+    """Candidate-set tuples derived from the `pairs` and `n_aps` attributes."""
+
+    @cached_property
+    def candidates_of_client(self) -> tuple[tuple[int, ...], ...]:
+        """N_j for every client, AP-ascending."""
+        return tuple(map(tuple, self.pairs.per_client(self.pairs.ap)))
+
+    @cached_property
+    def clients_of_ap(self) -> tuple[tuple[int, ...], ...]:
+        """M_i for every AP, client-ascending."""
+        pairs = self.pairs
+        return tuple(tuple(pairs.client[pairs.ap == i].tolist()) for i in range(self.n_aps))
+
+
+@dataclass(frozen=True, eq=False)
+class Topology(_CandidateViews):
+    """AP and client planar positions plus the geometric candidate pairs."""
 
     ap_positions: np.ndarray  # (N, 2) meters
     client_positions: np.ndarray  # (M, 2) meters
     radius: float  # cell radius, meters
-    candidates_of_client: tuple[tuple[int, ...], ...]  # N_j, AP-ascending
-    clients_of_ap: tuple[tuple[int, ...], ...]  # M_i, client-ascending
+    pairs: Pairs  # within-radius (ap, client) pairs
+    distance: np.ndarray  # (P,) AP-client distance of every pair, meters
 
     @property
     def n_aps(self) -> int:
-        return len(self.clients_of_ap)
+        return self.ap_positions.shape[0]
 
     @property
     def n_clients(self) -> int:
-        return len(self.candidates_of_client)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """All (ap, client) pairs, sorted by (client, ap)."""
-        return [(i, j) for j, cands in enumerate(self.candidates_of_client) for i in cands]
-
-
-def _invert_candidates(
-    n_aps: int, candidates_of_client: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], ...]:
-    clients: list[list[int]] = [[] for _ in range(n_aps)]
-    for j, cands in enumerate(candidates_of_client):
-        for i in cands:
-            clients[i].append(j)
-    return tuple(tuple(sorted(c)) for c in clients)
+        return self.client_positions.shape[0]
 
 
 def topology_from_positions(
@@ -88,68 +134,44 @@ def topology_from_positions(
         raise ValueError("radius must be strictly positive")
     # (M, N) distance table; small networks, dense is fine
     diff = client_positions[:, None, :] - ap_positions[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    cands = []
-    for j in range(client_positions.shape[0]):
-        nj = tuple(int(i) for i in np.flatnonzero(dist[j] <= radius))
-        if not nj:
-            raise InfeasibleClientError(j, "outside every AP disk")
-        cands.append(nj)
+    inside = np.hypot(diff[..., 0], diff[..., 1]) <= radius
+    isolated = np.flatnonzero(~inside.any(axis=1))
+    if isolated.size:
+        raise InfeasibleClientError(int(isolated[0]), "outside every AP disk")
+    client, ap = np.nonzero(inside)  # row-major: client-major, APs ascending
+    # math.hypot per pair, not np.hypot: the two differ in the last bit on
+    # some pairs, and every channel draw is computed from these distances
+    distance = np.array([math.hypot(dx, dy) for dx, dy in diff[client, ap].tolist()])
     return Topology(
         ap_positions=ap_positions,
         client_positions=client_positions,
         radius=float(radius),
-        candidates_of_client=tuple(cands),
-        clients_of_ap=_invert_candidates(ap_positions.shape[0], cands),
+        pairs=Pairs.from_sorted(client, ap, client_positions.shape[0]),
+        distance=_frozen(distance),
     )
 
 
-@dataclass(frozen=True)
-class _PairArrays:
-    """Flat pair-major view of an instance, sorted by (client, ap).
-
-    `start[j]` is the index of client j's first pair; segments are contiguous
-    and AP-ascending, so the first minimum in a segment is the smallest-index
-    tie-break.
-    """
-
-    client: np.ndarray  # int64 (P,)
-    ap: np.ndarray  # int64 (P,)
-    beta: np.ndarray  # float64 (P,)
-    start: np.ndarray  # int64 (M,)
-
-
-@dataclass(frozen=True)
-class Instance:
+@dataclass(frozen=True, eq=False)
+class Instance(_CandidateViews):
     """Pruned optimization problem data.
 
-    Every stored (ap, client) pair satisfies 0 < beta <= 1 and
-    beta == demand/rate to relative 1e-12.  Immutable after construction.
+    Every stored pair satisfies 0 < beta <= 1 and beta == demand/rate to
+    relative 1e-12; `beta` and `rate` are read-only arrays aligned with
+    `pairs`.  Immutable after construction.
     """
 
     n_aps: int
     n_clients: int
-    beta: dict[tuple[int, int], float]
     demands: tuple[float, ...]
-    rates: dict[tuple[int, int], float]
-    candidates_of_client: tuple[tuple[int, ...], ...]
-    clients_of_ap: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def pairs(self) -> _PairArrays:
-        order = [(j, i) for j, cands in enumerate(self.candidates_of_client) for i in cands]
-        client = np.array([j for j, _ in order], dtype=np.int64)
-        ap = np.array([i for _, i in order], dtype=np.int64)
-        beta = np.array([self.beta[(i, j)] for j, i in order], dtype=np.float64)
-        sizes = np.array([len(c) for c in self.candidates_of_client], dtype=np.int64)
-        start = np.concatenate(([0], np.cumsum(sizes)[:-1])) if len(sizes) else np.zeros(0, np.int64)
-        return _PairArrays(client=client, ap=ap, beta=beta, start=start)
+    pairs: Pairs
+    beta: np.ndarray  # (P,) utilization demand/rate of every pair
+    rate: np.ndarray  # (P,) link rate of every pair, bit/s
 
     def candidate_product(self) -> float:
         """Product of candidate-set sizes, capped at 1e18 (search-space size)."""
         prod = 1.0
-        for cands in self.candidates_of_client:
-            prod *= len(cands)
+        for size in self.pairs.sizes.tolist():
+            prod *= size
             if prod > 1e18:
                 return 1e18
         return prod
@@ -166,74 +188,89 @@ class Assignment:
 def _assemble(
     n_aps: int,
     demands: Sequence[float],
-    rates: Mapping[tuple[int, int], float],
-    beta: Mapping[tuple[int, int], float],
+    ap: np.ndarray,
+    client: np.ndarray,
+    beta: np.ndarray | None = None,
+    rate: np.ndarray | None = None,
 ) -> Instance:
-    """Validate, prune beta > 1 pairs, and rebuild consistent candidate sets."""
-    n_clients = len(demands)
-    for j, q in enumerate(demands):
-        if not q > 0.0:
-            raise ValueError(f"demand of client {j} must be strictly positive, got {q!r}")
-    kept_beta: dict[tuple[int, int], float] = {}
-    kept_rates: dict[tuple[int, int], float] = {}
-    for (i, j), b in beta.items():
-        if not (0 <= i < n_aps and 0 <= j < n_clients):
-            raise ValueError(f"pair ({i}, {j}) out of range")
-        r = rates[(i, j)]
-        if not r > 0.0:
-            raise ValueError(f"rate of pair ({i}, {j}) must be strictly positive")
-        if not b > 0.0:
-            raise ValueError(f"beta of pair ({i}, {j}) must be strictly positive")
-        if abs(b - demands[j] / r) > _REL_TOL * abs(b):
-            raise ValueError(f"beta of pair ({i}, {j}) inconsistent with demand/rate")
-        if b > 1.0:
-            continue  # demand exceeds the link rate: drop the pair
-        kept_beta[(i, j)] = float(b)
-        kept_rates[(i, j)] = float(r)
-    cands: list[tuple[int, ...]] = []
-    for j in range(n_clients):
-        nj = tuple(sorted(i for (i, jj) in kept_beta if jj == j))
-        if not nj:
+    """Validate offered pairs (any order), prune beta > 1, sort client-major.
+
+    Either `beta` or `rate` may be None; it is then synthesized as demand
+    over the other, so the stored triple stays self-consistent.
+    """
+    q = np.asarray(demands, dtype=float)
+    n_clients = q.size
+    bad = np.flatnonzero(~(q > 0.0))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"demand of client {j} must be strictly positive, got {demands[j]!r}")
+
+    def reject(bad: np.ndarray, message: str) -> None:
+        if bad.any():
+            k = int(np.argmax(bad))  # first offending pair
+            raise ValueError(message.format(i=ap[k], j=client[k]))
+
+    in_range = (ap >= 0) & (ap < n_aps) & (client >= 0) & (client < n_clients)
+    reject(~in_range, "pair ({i}, {j}) out of range")
+    for name, values in (("rate", rate), ("beta", beta)):
+        if values is not None:
+            reject(~(values > 0.0), name + " of pair ({i}, {j}) must be strictly positive")
+    if beta is None:
+        beta = q[client] / rate
+    if rate is None:
+        rate = q[client] / beta
+    inconsistent = np.abs(beta - q[client] / rate) > _REL_TOL * np.abs(beta)
+    reject(inconsistent, "beta of pair ({i}, {j}) inconsistent with demand/rate")
+    keep = beta <= 1.0  # beta > 1: demand exceeds the link rate, drop the pair
+    empty = np.flatnonzero(np.bincount(client[keep], minlength=n_clients) == 0)
+    if empty.size:
+        j = int(empty[0])
+        if np.any(client == j):
             raise InfeasibleClientError(j, "all candidate links pruned (utilization > 1)")
-        cands.append(nj)
+        raise InfeasibleClientError(j, "no candidate links")
+    kept = np.flatnonzero(keep)
+    kept = kept[np.lexsort((ap[kept], client[kept]))]
     return Instance(
         n_aps=n_aps,
         n_clients=n_clients,
-        beta=kept_beta,
-        demands=tuple(float(q) for q in demands),
-        rates=kept_rates,
-        candidates_of_client=tuple(cands),
-        clients_of_ap=_invert_candidates(n_aps, cands),
+        demands=tuple(q.tolist()),
+        pairs=Pairs.from_sorted(client[kept], ap[kept], n_clients),
+        beta=_frozen(beta[kept]),
+        rate=_frozen(rate[kept]),
     )
 
 
 def build_instance(
     topo: Topology,
     demands: Sequence[float],
-    link_rates: Mapping[tuple[int, int], float],
+    link_rates: Sequence[float] | Mapping[tuple[int, int], float],
 ) -> Instance:
     """Compute utilizations beta = demand/rate on the topology's pairs and prune.
 
-    `link_rates` must be defined on exactly the topology's (ap, client) pairs.
-    Pairs with beta > 1 are removed from both candidate-set directions; a
-    client whose whole candidate set is pruned raises InfeasibleClientError.
+    `link_rates` holds one rate per topology pair, aligned with `topo.pairs`,
+    or is a mapping keyed by exactly the topology's (ap, client) pairs.
+    Pairs with beta > 1 are removed; a client whose whole candidate set is
+    pruned raises InfeasibleClientError.
     """
-    topo_pairs = set(topo.pairs())
-    given = set(link_rates)
-    if given != topo_pairs:
-        missing = sorted(topo_pairs - given)[:3]
-        extra = sorted(given - topo_pairs)[:3]
+    pairs = topo.pairs
+    if isinstance(link_rates, Mapping):
+        keys = list(zip(pairs.ap.tolist(), pairs.client.tolist()))
+        missing, extra = sorted(set(keys) - set(link_rates)), sorted(set(link_rates) - set(keys))
+        if missing or extra:
+            raise ValueError(
+                f"link_rates must cover exactly the topology pairs "
+                f"(missing {missing[:3]}, unexpected {extra[:3]})"
+            )
+        link_rates = [link_rates[k] for k in keys]
+    rate = np.asarray(link_rates, dtype=float)
+    if rate.shape != pairs.ap.shape:
         raise ValueError(
-            f"link_rates must cover exactly the topology pairs "
-            f"(missing {missing}, unexpected {extra})"
+            f"link_rates must hold one rate per topology pair: expected "
+            f"{pairs.ap.size}, got {rate.size}"
         )
     if len(demands) != topo.n_clients:
         raise ValueError("one demand per client required")
-    for (i, j), r in link_rates.items():
-        if not r > 0.0:
-            raise ValueError(f"rate of pair ({i}, {j}) must be strictly positive")
-    beta = {(i, j): demands[j] / link_rates[(i, j)] for (i, j) in link_rates}
-    return _assemble(topo.n_aps, demands, link_rates, beta)
+    return _assemble(topo.n_aps, demands, pairs.ap, pairs.client, rate=rate)
 
 
 def instance_from_beta(
@@ -249,8 +286,9 @@ def instance_from_beta(
     """
     if demands is None:
         demands = [1.0] * n_clients
-    rates = {pair: demands[pair[1]] / b for pair, b in beta.items()}
-    return _assemble(n_aps, demands, rates, beta)
+    ap = np.array([i for i, _ in beta], dtype=np.int64)
+    client = np.array([j for _, j in beta], dtype=np.int64)
+    return _assemble(n_aps, demands, ap, client, beta=np.array(list(beta.values()), dtype=float))
 
 
 def example1_instance(
@@ -306,32 +344,34 @@ def example2_instance(
 
 
 def per_ap_loads(inst: Instance, ap_of_client: Sequence[int]) -> np.ndarray:
-    """Per-AP utilization sums under the given client->AP map."""
-    loads = np.zeros(inst.n_aps)
-    for j, i in enumerate(ap_of_client):
-        loads[i] += inst.beta[(i, j)]
-    return loads
+    """Per-AP utilization sums under the given client->AP map.
+
+    Rejects a map that is not one candidate AP per client.  Each AP's sum
+    accumulates in client order.
+    """
+    if len(ap_of_client) != inst.n_clients:
+        raise ValueError("one AP per client required")
+    pairs = inst.pairs
+    idx = np.flatnonzero(pairs.ap == np.asarray(ap_of_client, dtype=np.int64)[pairs.client])
+    if idx.size < inst.n_clients:  # APs are unique per client: one match each
+        j = int(np.argmin(np.bincount(pairs.client[idx], minlength=inst.n_clients)))
+        raise ValueError(f"AP {ap_of_client[j]} is not a candidate of client {j}")
+    loads = np.bincount(pairs.ap[idx], weights=inst.beta[idx], minlength=inst.n_aps)
+    return loads.astype(float, copy=False)  # bincount of no clients is integer
 
 
 def make_assignment(inst: Instance, ap_of_client: Sequence[int]) -> Assignment:
     """Validate a client->AP map against the candidate sets and price it."""
-    if len(ap_of_client) != inst.n_clients:
-        raise ValueError("one AP per client required")
-    for j, i in enumerate(ap_of_client):
-        if i not in inst.candidates_of_client[j]:
-            raise ValueError(f"AP {i} is not a candidate of client {j}")
-    loads = per_ap_loads(inst, ap_of_client)
-    objective = float(loads.max(initial=0.0))
+    objective = float(per_ap_loads(inst, ap_of_client).max(initial=0.0))
     return Assignment(ap_of_client=tuple(int(i) for i in ap_of_client), objective=objective)
 
 
 def instance_to_json(inst: Instance) -> dict:
-    """JSON document mirroring the instance, beta as {i, j, beta, rate} records."""
-    links = [
-        {"i": i, "j": j, "beta": inst.beta[(i, j)], "rate": inst.rates[(i, j)]}
-        for j, cands in enumerate(inst.candidates_of_client)
-        for i in cands
-    ]
+    """JSON document mirroring the instance, pairs as client-major
+    {i, j, beta, rate} records."""
+    columns = (inst.pairs.ap, inst.pairs.client, inst.beta, inst.rate)
+    records = zip(*(column.tolist() for column in columns))
+    links = [dict(zip(("i", "j", "beta", "rate"), rec)) for rec in records]
     return {
         "n_aps": inst.n_aps,
         "n_clients": inst.n_clients,
@@ -341,22 +381,29 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def instance_from_json(doc: Mapping) -> Instance:
-    """Rebuild an instance from its JSON document, revalidating everything."""
+    """Rebuild an instance from its JSON document, revalidating everything.
+
+    Link records may come in any order.
+    """
     for key in ("n_aps", "n_clients", "demands", "links"):
         if key not in doc:
             raise ValueError(f"instance document missing field {key!r}")
-    beta: dict[tuple[int, int], float] = {}
-    rates: dict[tuple[int, int], float] = {}
+    seen: set[tuple[int, int]] = set()
+    records = []
     for rec in doc["links"]:
         for key in ("i", "j", "beta", "rate"):
             if key not in rec:
                 raise ValueError(f"link record missing field {key!r}: {rec!r}")
         pair = (int(rec["i"]), int(rec["j"]))
-        if pair in beta:
+        if pair in seen:
             raise ValueError(f"duplicate link record for pair {pair}")
-        beta[pair] = float(rec["beta"])
-        rates[pair] = float(rec["rate"])
-    inst = _assemble(int(doc["n_aps"]), [float(q) for q in doc["demands"]], rates, beta)
+        seen.add(pair)
+        records.append((*pair, float(rec["beta"]), float(rec["rate"])))
+    ap, client, beta, rate = np.array(records, dtype=float).reshape(-1, 4).T
+    demands = [float(q) for q in doc["demands"]]
+    inst = _assemble(
+        int(doc["n_aps"]), demands, ap.astype(np.int64), client.astype(np.int64), beta, rate
+    )
     if inst.n_clients != int(doc["n_clients"]):
         raise ValueError("n_clients does not match the demand list")
     return inst

@@ -30,28 +30,30 @@ class FairnessReport:
 def random_policy(inst: Instance, seed: int | np.random.Generator) -> Assignment:
     """Assign every client uniformly at random over its candidate set."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    choice = [
-        cands[rng.integers(len(cands))] for cands in inst.candidates_of_client
-    ]
-    return make_assignment(inst, choice)
+    # one scalar draw per client: an array-valued draw consumes the stream
+    # differently and would change every random-policy result
+    offsets = [rng.integers(size) for size in inst.pairs.sizes.tolist()]
+    choice = inst.pairs.ap[inst.pairs.start + np.array(offsets, dtype=np.int64)]
+    return make_assignment(inst, choice.tolist())
 
 
 def rssi_policy(
-    inst: Instance, received_powers: Mapping[tuple[int, int], float]
+    inst: Instance, received_powers: np.ndarray | Mapping[tuple[int, int], float]
 ) -> Assignment:
     """Assign every client to its strongest received power, ties to the
-    smallest AP index.  Powers must be given for every candidate pair."""
-    choice = []
-    for j, cands in enumerate(inst.candidates_of_client):
-        best_i, best_p = -1, -np.inf
-        for i in cands:
+    smallest AP index.  Powers are given per pair, aligned with `inst.pairs`,
+    or as a mapping that covers every candidate (ap, client) pair."""
+    pairs = inst.pairs
+    if isinstance(received_powers, Mapping):
+        keys = list(zip(pairs.ap.tolist(), pairs.client.tolist()))
+        for i, j in keys:
             if (i, j) not in received_powers:
                 raise ValueError(f"received power missing for candidate pair ({i}, {j})")
-            p = received_powers[(i, j)]
-            if p > best_p:
-                best_i, best_p = i, p
-        choice.append(best_i)
-    return make_assignment(inst, choice)
+        received_powers = [received_powers[key] for key in keys]
+    powers = np.asarray(received_powers, dtype=float)
+    if powers.shape != pairs.ap.shape:
+        raise ValueError(f"need {pairs.ap.size} received powers, one per pair, got {powers.size}")
+    return make_assignment(inst, pairs.ap[pairs.first_argmin(-powers)].tolist())
 
 
 def jain_index(inst: Instance, a: Assignment) -> FairnessReport:

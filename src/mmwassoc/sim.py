@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("n_aps, n_clients and slots must be positive")
         if self.daa_iters < 1:
             raise ValueError("daa_iters must be positive")
+        if not 0.0 < self.step_scale < math.inf:
+            raise ValueError("step_scale must be positive and finite")
         if not self.demand_max > 0.0:
             raise ValueError("demand_max must be strictly positive")
         if not self.ap_spacing_factor > 0.0:
@@ -143,32 +145,16 @@ def generate_topology(cfg: ExperimentConfig, seed: int | None = None) -> Topolog
     return topology_from_positions(ap_positions, client_positions, radius)
 
 
-def _pair_distances(topo: Topology) -> tuple[list[tuple[int, int]], np.ndarray]:
-    pairs = topo.pairs()
-    dist = np.array(
-        [
-            math.hypot(
-                topo.ap_positions[i, 0] - topo.client_positions[j, 0],
-                topo.ap_positions[i, 1] - topo.client_positions[j, 1],
-            )
-            for i, j in pairs
-        ]
-    )
-    return pairs, dist
-
-
 def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     """Evaluate one time slot: fresh fading and demands, every policy."""
-    pairs, dist = _pair_distances(topo)
-    fading = _stream(cfg.seed, _PURPOSE_FADING, slot).exponential(1.0, size=len(pairs))
+    fading = _stream(cfg.seed, _PURPOSE_FADING, slot).exponential(1.0, size=topo.distance.size)
     demands = _stream(cfg.seed, _PURPOSE_DEMANDS, slot).uniform(
         0.0, cfg.demand_max, size=topo.n_clients
     )
-    gains = {
-        pair: compute_gain(cfg.channel, d, a)
-        for pair, d, a in zip(pairs, dist, fading)
-    }
-    rates = {pair: compute_rate(cfg.channel, g) for pair, g in gains.items()}
+    # one scalar channel call per pair, on numpy scalars: vectorized numpy
+    # power and log2 round differently in the last bit on some pairs
+    gains = np.array([compute_gain(cfg.channel, d, a) for d, a in zip(topo.distance, fading)])
+    rates = [compute_rate(cfg.channel, g) for g in gains]
     try:
         inst = build_instance(topo, demands, rates)
     except InfeasibleClientError:
@@ -176,8 +162,9 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
 
     report = run_daa(inst, max_iters=cfg.daa_iters, step_scale=cfg.step_scale)
     rand_assignment = random_policy(inst, _stream(cfg.seed, _PURPOSE_RANDOM_POLICY, slot))
-    received = {pair: cfg.channel.tx_power * g for pair, g in gains.items()}
-    rssi_assignment = rssi_policy(inst, received)
+    n = topo.n_aps  # (client, ap) -> client * n + ap orders the pairs
+    kept = np.isin(topo.pairs.client * n + topo.pairs.ap, inst.pairs.client * n + inst.pairs.ap)
+    rssi_assignment = rssi_policy(inst, cfg.channel.tx_power * gains[kept])
 
     p_exact = p_relax = jain_exact = relative_gap = None
     exact_wanted = cfg.with_exact and (

@@ -2,29 +2,77 @@
 
 These deliberately avoid the library's solver code paths: brute force
 enumerates assignment tuples directly from the candidate sets, and the
-geometry/projection checks are closed-form or first-principles.
+geometry/projection checks are closed-form or first-principles.  The
+`ref_*` functions are the plain dict-and-loop forms of the instance
+pruning, per-AP loads, client subproblem and certificates, kept as
+references for the library's pair-array forms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from mmwassoc.instance import Instance, instance_from_beta
+from mmwassoc.instance import InfeasibleClientError, Instance, instance_from_beta
+
+_REL_TOL = 1e-12
+
+
+_CHUNK_ROWS = 1 << 16  # assignments per numpy block in brute_force
+
+
+def _client_options(inst: Instance) -> list[list[tuple[int, float]]]:
+    """Per client, its (ap, beta) candidates, AP-ascending."""
+    options: list[list[tuple[int, float]]] = [[] for _ in range(inst.n_clients)]
+    for i, j, b in zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist(), inst.beta.tolist()):
+        options[j].append((i, b))
+    return options
 
 
 def brute_force(inst: Instance) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive min-max objective by iterating every assignment tuple."""
+    """Exhaustive min-max objective over every assignment tuple.
+
+    Walks the assignments in `itertools.product` order (last client fastest)
+    and returns the first optimum.  Every assignment's per-AP loads add the
+    clients' utilizations one by one, left to right, exactly as the plain
+    loop `loads[i] += beta` would.  The clients are split into a prefix,
+    iterated in Python, and a suffix whose at most _CHUNK_ROWS assignments
+    form one numpy table per prefix, so memory stays bounded.
+    """
+    options = _client_options(inst)
+    n = inst.n_aps
+    split = len(options)
+    rows = 1
+    while split > 0 and rows * len(options[split - 1]) <= _CHUNK_ROWS:
+        split -= 1
+        rows *= len(options[split])
+    # suffix client s adds, per choice, its utilization on one AP (+0.0 elsewhere)
+    contribs = []
+    for opts in options[split:]:
+        contrib = np.zeros((len(opts), n))
+        for pos, (i, b) in enumerate(opts):
+            contrib[pos, i] = b
+        contribs.append(contrib)
     best_val, best_map = math.inf, None
-    for choice in itertools.product(*inst.candidates_of_client):
-        loads = [0.0] * inst.n_aps
-        for j, i in enumerate(choice):
-            loads[i] += inst.beta[(i, j)]
-        val = max(loads, default=0.0)
-        if val < best_val:
-            best_val, best_map = val, choice
+    for prefix in itertools.product(*options[:split]):
+        loads = [0.0] * n
+        for i, b in prefix:
+            loads[i] += b
+        table = np.array([loads])
+        for contrib in contribs:
+            table = (table[:, None, :] + contrib[None, :, :]).reshape(-1, n)
+        values = table.max(axis=1, initial=0.0)
+        row = int(np.argmin(values))
+        if values[row] < best_val:
+            best_val = float(values[row])
+            suffix = []
+            for opts in reversed(options[split:]):
+                suffix.append(opts[row % len(opts)][0])
+                row //= len(opts)
+            best_map = tuple(i for i, _ in prefix) + tuple(reversed(suffix))
     return best_val, best_map
 
 
@@ -101,3 +149,118 @@ def random_full_instance(
         (i, j): float(1.0 - rng.uniform()) for i in range(n) for j in range(m)
     }
     return instance_from_beta(n, m, beta)
+
+
+def beta_dict(inst: Instance) -> dict[tuple[int, int], float]:
+    """The instance's utilizations keyed by (ap, client), client-major."""
+    keys = zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist())
+    return dict(zip(keys, inst.beta.tolist()))
+
+
+def same_instance(a: Instance, b: Instance) -> bool:
+    """Bitwise equality of everything two instances store."""
+    def arrays(inst: Instance) -> tuple[np.ndarray, ...]:
+        return (inst.pairs.client, inst.pairs.ap, inst.pairs.start, inst.beta, inst.rate)
+
+    return (a.n_aps, a.n_clients, a.demands) == (b.n_aps, b.n_clients, b.demands) and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in zip(arrays(a), arrays(b))
+    )
+
+
+@dataclass(frozen=True)
+class DictInstance:
+    """Pruned problem data in dict form: beta and rates keyed by (ap, client)."""
+
+    n_aps: int
+    n_clients: int
+    beta: dict[tuple[int, int], float]
+    rates: dict[tuple[int, int], float]
+    candidates_of_client: tuple[tuple[int, ...], ...]
+    clients_of_ap: tuple[tuple[int, ...], ...]
+
+
+def ref_assemble(
+    n_aps: int,
+    demands: list[float],
+    rates: dict[tuple[int, int], float],
+    beta: dict[tuple[int, int], float],
+) -> DictInstance:
+    """Validate, prune beta > 1 pairs, and rebuild candidate sets by rescanning."""
+    n_clients = len(demands)
+    for j, q in enumerate(demands):
+        if not q > 0.0:
+            raise ValueError(f"demand of client {j} must be strictly positive, got {q!r}")
+    kept_beta: dict[tuple[int, int], float] = {}
+    kept_rates: dict[tuple[int, int], float] = {}
+    for (i, j), b in beta.items():
+        if not (0 <= i < n_aps and 0 <= j < n_clients):
+            raise ValueError(f"pair ({i}, {j}) out of range")
+        r = rates[(i, j)]
+        if not r > 0.0:
+            raise ValueError(f"rate of pair ({i}, {j}) must be strictly positive")
+        if not b > 0.0:
+            raise ValueError(f"beta of pair ({i}, {j}) must be strictly positive")
+        if abs(b - demands[j] / r) > _REL_TOL * abs(b):
+            raise ValueError(f"beta of pair ({i}, {j}) inconsistent with demand/rate")
+        if b > 1.0:
+            continue  # demand exceeds the link rate: drop the pair
+        kept_beta[(i, j)] = float(b)
+        kept_rates[(i, j)] = float(r)
+    cands: list[tuple[int, ...]] = []
+    for j in range(n_clients):
+        nj = tuple(sorted(i for (i, jj) in kept_beta if jj == j))
+        if not nj:
+            if any(jj == j for (_, jj) in beta):
+                raise InfeasibleClientError(j, "all candidate links pruned (utilization > 1)")
+            raise InfeasibleClientError(j, "no candidate links")
+        cands.append(nj)
+    clients: list[list[int]] = [[] for _ in range(n_aps)]
+    for j, nj in enumerate(cands):
+        for i in nj:
+            clients[i].append(j)
+    return DictInstance(
+        n_aps=n_aps,
+        n_clients=n_clients,
+        beta=kept_beta,
+        rates=kept_rates,
+        candidates_of_client=tuple(cands),
+        clients_of_ap=tuple(tuple(sorted(c)) for c in clients),
+    )
+
+
+def ref_per_ap_loads(inst: DictInstance, ap_of_client) -> np.ndarray:
+    loads = np.zeros(inst.n_aps)
+    for j, i in enumerate(ap_of_client):
+        loads[i] += inst.beta[(i, j)]
+    return loads
+
+
+def ref_client_subproblem(inst: DictInstance, prices: np.ndarray, j: int) -> int:
+    best_ap = -1
+    best_val = math.inf
+    for i in inst.candidates_of_client[j]:
+        val = inst.beta[(i, j)] * prices[i]
+        if val < best_val:
+            best_ap, best_val = i, val
+    return best_ap
+
+
+def ref_convergence_bound(inst: DictInstance, step_scale: float, k: int) -> float:
+    per_ap = np.zeros(inst.n_aps)
+    for (i, _), b in inst.beta.items():
+        per_ap[i] += b
+    g_sq = float(np.sum(per_ap**2))
+    harmonic = float(np.sum(1.0 / np.arange(1, k + 1)))
+    numerator = 1.0 + step_scale**2 * g_sq * math.pi**2 / 12.0
+    return numerator / (step_scale * harmonic)
+
+
+def ref_duality_gap_bound(inst: DictInstance) -> float:
+    if not inst.beta:
+        return 0.0
+    overall_max = max(inst.beta.values())
+    worst_client_min = max(
+        min(inst.beta[(i, j)] for i in cands)
+        for j, cands in enumerate(inst.candidates_of_client)
+    )
+    return (inst.n_aps + 1) * (overall_max + worst_client_min)

@@ -1,0 +1,89 @@
+"""The pair-array forms of the instance and its certificates against the
+dict-and-loop references in `oracles`, on random `instance_from_beta` inputs."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmwassoc.dual_solver import client_subproblem, convergence_bound, duality_gap_bound
+from mmwassoc.instance import (
+    InfeasibleClientError,
+    instance_from_beta,
+    instance_from_json,
+    instance_to_json,
+    per_ap_loads,
+)
+from oracles import (
+    beta_dict,
+    ref_assemble,
+    ref_client_subproblem,
+    ref_convergence_bound,
+    ref_duality_gap_bound,
+    ref_per_ap_loads,
+    same_instance,
+)
+
+utilizations = st.one_of(
+    st.sampled_from([0.25, 0.5, 1.0, 1.25]),  # exact ties, the boundary, pruned
+    st.floats(min_value=1e-3, max_value=1.5),
+)
+
+
+@st.composite
+def raw_instances(draw):
+    """(n_aps, n_clients, beta dict in shuffled insertion order, demands or None).
+
+    Clients may have no links, one link (pinned) or several; links with
+    beta > 1 get pruned."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    pairs = [
+        (i, j)
+        for j in range(m)
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    ]
+    pairs = draw(st.permutations(pairs))
+    beta = {pair: draw(utilizations) for pair in pairs}
+    demands = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+    return n, m, beta, demands
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw_instances(), st.data())
+def test_array_forms_match_dict_references(raw, data):
+    n, m, beta, demands = raw
+    q = [1.0] * m if demands is None else demands
+    rates = {(i, j): q[j] / b for (i, j), b in beta.items()}
+    try:
+        ref = ref_assemble(n, q, rates, beta)
+    except InfeasibleClientError as expected:
+        with pytest.raises(InfeasibleClientError) as err:
+            instance_from_beta(n, m, beta, demands)
+        assert (err.value.client, str(err.value)) == (expected.client, str(expected))
+        return
+    inst = instance_from_beta(n, m, beta, demands)
+
+    client_major = sorted(ref.beta, key=lambda pair: (pair[1], pair[0]))
+    assert list(beta_dict(inst).items()) == [(pair, ref.beta[pair]) for pair in client_major]
+    assert inst.rate.tolist() == [ref.rates[pair] for pair in client_major]
+    assert inst.candidates_of_client == ref.candidates_of_client
+    assert inst.clients_of_ap == ref.clients_of_ap
+
+    choice = [data.draw(st.sampled_from(cands)) for cands in ref.candidates_of_client]
+    assert per_ap_loads(inst, choice).tobytes() == ref_per_ap_loads(ref, choice).tobytes()
+    prices = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    assert [client_subproblem(inst, prices, j) for j in range(m)] == [
+        ref_client_subproblem(ref, prices, j) for j in range(m)
+    ]
+    assert duality_gap_bound(inst) == ref_duality_gap_bound(ref)
+    step, k = data.draw(st.floats(0.1, 5.0)), data.draw(st.integers(1, 500))
+    # the reference sums per AP in insertion order, the array form client-major
+    assert convergence_bound(inst, step, k) == pytest.approx(
+        ref_convergence_bound(ref, step, k), rel=1e-12, abs=0.0
+    )
+
+    again = instance_from_json(json.loads(json.dumps(instance_to_json(inst))))
+    assert same_instance(again, inst)

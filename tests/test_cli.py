@@ -65,6 +65,16 @@ def test_solve_invalid_document_names_field(tmp_path, capsys):
     assert "demands" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--iters", "--step-scale"])
+def test_solve_rejects_nonpositive_solver_settings(chain_file, tmp_path, capsys, flag):
+    code = main(["solve", str(chain_file), flag, "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_trace_flag_writes_csv(chain_file, tmp_path):
     out = tmp_path / "out"
     assert main(["solve", str(chain_file), "--iters", "50", "--trace", "--out", str(out)]) == 0
@@ -175,6 +185,26 @@ def test_config_coercion_is_strict(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["experiment", "--config", str(path), "--out", str(out)])
     assert "with_exact" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("n_aps", True),
+        ("n_clients", "5"),
+        ("slots", [1]),
+        ("daa_iters", float("inf")),
+        ("step_scale", 0.0),
+    ],
+)
+def test_config_rejects_non_numbers_and_bad_values(tmp_path, capsys, key, value):
+    doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
 
 
 def test_sweep_writes_one_row_per_value(config_file, tmp_path):

@@ -12,12 +12,13 @@ from mmwassoc.exact import (
     solve_milp_exact,
 )
 from mmwassoc.instance import example1_instance, example2_instance, instance_from_beta
-from oracles import brute_force, random_full_instance, random_subset_instance
+from oracles import beta_dict, brute_force, random_full_instance, random_subset_instance
 
 
 def scipy_lp_value(inst):
     """Independent LP oracle via scipy's HiGHS backend."""
-    pairs = sorted(inst.beta, key=lambda p: (p[1], p[0]))
+    beta = beta_dict(inst)
+    pairs = sorted(beta, key=lambda p: (p[1], p[0]))
     n_pairs = len(pairs)
     c = np.zeros(1 + n_pairs)
     c[0] = 1.0
@@ -25,7 +26,7 @@ def scipy_lp_value(inst):
     a_ub[:, 0] = -1.0
     a_eq = np.zeros((inst.n_clients, 1 + n_pairs))
     for idx, (i, j) in enumerate(pairs):
-        a_ub[i, 1 + idx] = inst.beta[(i, j)]
+        a_ub[i, 1 + idx] = beta[(i, j)]
         a_eq[j, 1 + idx] = 1.0
     res = linprog(
         c,
@@ -143,9 +144,10 @@ def test_lp_solution_is_feasible_point():
         assert total == pytest.approx(1.0, abs=1e-8)
     for value in lp.fractional.values():
         assert -1e-9 <= value <= 1.0 + 1e-9
+    beta = beta_dict(inst)
     loads = np.zeros(inst.n_aps)
     for (i, j), x in lp.fractional.items():
-        loads[i] += inst.beta[(i, j)] * x
+        loads[i] += beta[(i, j)] * x
     assert loads.max() <= lp.optimal_value + 1e-8
 
 

@@ -16,7 +16,13 @@ from mmwassoc.instance import (
     per_ap_loads,
     topology_from_positions,
 )
-from oracles import brute_force, brute_force_unpruned, random_subset_instance
+from oracles import (
+    beta_dict,
+    brute_force,
+    brute_force_unpruned,
+    random_subset_instance,
+    same_instance,
+)
 
 
 def two_ap_topology():
@@ -46,7 +52,7 @@ def test_build_keeps_unit_utilization_pair():
     topo = two_ap_topology()
     rates = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0, (1, 2): 5.0}
     inst = build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
-    assert inst.beta[(1, 0)] == 1.0  # boundary kept
+    assert beta_dict(inst)[(1, 0)] == 1.0  # boundary kept
     assert inst.candidates_of_client[0] == (0, 1)
 
 
@@ -54,7 +60,7 @@ def test_build_prunes_overloaded_pair_both_directions():
     topo = two_ap_topology()
     rates = {(0, 0): 2.0, (1, 0): 0.5, (0, 1): 5.0, (1, 2): 5.0}
     inst = build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
-    assert (1, 0) not in inst.beta
+    assert (1, 0) not in beta_dict(inst)
     assert inst.candidates_of_client[0] == (0,)
     assert inst.clients_of_ap[1] == (2,)
 
@@ -65,6 +71,16 @@ def test_build_raises_when_client_loses_every_candidate():
     with pytest.raises(InfeasibleClientError) as err:
         build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
     assert "client 0" in str(err.value)
+
+
+def test_infeasible_client_reason_tells_missing_from_pruned():
+    with pytest.raises(InfeasibleClientError, match="no candidate links") as err:
+        instance_from_beta(2, 2, {(0, 0): 0.5})
+    assert err.value.client == 1
+    assert "pruned" not in str(err.value)
+    with pytest.raises(InfeasibleClientError, match="pruned") as err:
+        instance_from_beta(2, 2, {(0, 0): 0.5, (1, 1): 1.5})
+    assert err.value.client == 1
 
 
 def test_build_requires_exact_pair_cover():
@@ -91,15 +107,15 @@ def test_utilization_equals_demand_over_rate():
     rates = {(0, 0): 3.0, (1, 0): 7.0, (0, 1): 11.0, (1, 2): 13.0}
     demands = [2.0, 5.0, 9.0]
     inst = build_instance(topo, demands, rates)
-    for (i, j), b in inst.beta.items():
+    for (i, j), b in beta_dict(inst).items():
         assert b == pytest.approx(demands[j] / rates[(i, j)], rel=1e-12)
 
 
 def test_build_is_idempotent():
     rng = np.random.default_rng(5)
     inst = random_subset_instance(rng)
-    again = instance_from_beta(inst.n_aps, inst.n_clients, inst.beta, inst.demands)
-    assert again == inst
+    again = instance_from_beta(inst.n_aps, inst.n_clients, beta_dict(inst), inst.demands)
+    assert same_instance(again, inst)
 
 
 def test_pruning_preserves_optimal_value():
@@ -175,13 +191,13 @@ def test_json_round_trip():
     rng = np.random.default_rng(31)
     inst = random_subset_instance(rng)
     doc = json.loads(json.dumps(instance_to_json(inst)))
-    assert instance_from_json(doc) == inst
+    assert same_instance(instance_from_json(doc), inst)
 
 
 def test_fixture_file_loads_to_known_optimum():
     path = Path(__file__).parent / "fixtures" / "chain_three_cells.json"
     inst = instance_from_json(json.loads(path.read_text()))
-    assert inst == example1_instance(3, 0.5)
+    assert same_instance(inst, example1_instance(3, 0.5))
     assert brute_force(inst)[0] == pytest.approx(0.5, abs=1e-12)
 
 

@@ -4,9 +4,9 @@ from scipy.stats import chisquare
 
 from mmwassoc.channel import compute_gain, default_params
 from mmwassoc.dual_solver import subgradient
-from mmwassoc.instance import Instance, instance_from_beta, make_assignment
+from mmwassoc.instance import instance_from_beta, make_assignment
 from mmwassoc.policies import jain_index, objective_value, random_policy, rssi_policy
-from oracles import brute_force, random_subset_instance
+from oracles import beta_dict, brute_force, random_subset_instance
 
 
 def test_random_policy_deterministic_given_seed():
@@ -108,15 +108,7 @@ def test_jain_two_ap_arithmetic():
 
 
 def test_jain_degenerate_zero_clients():
-    empty = Instance(
-        n_aps=3,
-        n_clients=0,
-        beta={},
-        demands=(),
-        rates={},
-        candidates_of_client=(),
-        clients_of_ap=((), (), ()),
-    )
+    empty = instance_from_beta(3, 0, {})
     report = jain_index(empty, make_assignment(empty, []))
     assert report.degenerate
     assert report.index == 1.0
@@ -128,7 +120,7 @@ def test_jain_invariant_under_ap_relabeling():
     a = random_policy(inst, 5)
     base = jain_index(inst, a).index
     perm = rng.permutation(inst.n_aps)
-    relabeled_beta = {(int(perm[i]), j): b for (i, j), b in inst.beta.items()}
+    relabeled_beta = {(int(perm[i]), j): b for (i, j), b in beta_dict(inst).items()}
     inst_p = instance_from_beta(inst.n_aps, inst.n_clients, relabeled_beta, inst.demands)
     a_p = make_assignment(inst_p, [int(perm[i]) for i in a.ap_of_client])
     assert jain_index(inst_p, a_p).index == pytest.approx(base, rel=1e-12)
