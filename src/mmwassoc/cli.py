@@ -24,7 +24,6 @@ from .channel import ChannelParams
 from .dual_solver import duality_gap_bound, run_daa, trace_csv_lines
 from .exact import NodeBudgetExceeded, solve_lp_relaxation, solve_milp_exact
 from .instance import (
-    InfeasibleClientError,
     Instance,
     example1_instance,
     example2_instance,
@@ -82,6 +81,8 @@ def config_hash(resolved: dict) -> str:
 
 
 def parse_experiment_config(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - ACCEPTED_KEYS)
     if unknown:
         print(
@@ -89,17 +90,22 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
             f"accepted keys are {sorted(ACCEPTED_KEYS)}",
             file=sys.stderr,
         )
+
+    def number(key: str) -> float:
+        return _cast_config_value(key, doc[key], float)
+
+    noise_dbm_per_mhz = number("noise_dbm_per_mhz") if "noise_dbm_per_mhz" in doc else -134.0
     channel_kwargs = {
-        "noise_density": dbm_per_mhz_to_mw_per_hz(doc.get("noise_dbm_per_mhz", -134.0)),
+        "noise_density": dbm_per_mhz_to_mw_per_hz(noise_dbm_per_mhz),
         "wavelength": 5e-3,
         "bandwidth": 1.2e9,
     }
     for key, attr in CHANNEL_KEYS.items():
         if key in doc:
-            channel_kwargs[attr] = float(doc[key])
+            channel_kwargs[attr] = number(key)
     if doc.get("interference_dbm_per_mhz") is not None:
         channel_kwargs["interference_density"] = dbm_per_mhz_to_mw_per_hz(
-            float(doc["interference_dbm_per_mhz"])
+            number("interference_dbm_per_mhz")
         )
     exp_kwargs = {
         k: _cast_config_value(k, doc[k], kind)
@@ -107,7 +113,7 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
         if k in doc
     }
     if "demand_max_bps" in doc:
-        exp_kwargs["demand_max"] = float(doc["demand_max_bps"])
+        exp_kwargs["demand_max"] = number("demand_max_bps")
     return ExperimentConfig(channel=ChannelParams(**channel_kwargs), **exp_kwargs)
 
 
@@ -121,6 +127,8 @@ def _cast_config_value(key: str, value, kind: type):
         if isinstance(value, bool) or not integral:
             raise ValueError(f"{key} must be an integer, got {value!r}")
         return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
 
@@ -207,7 +215,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "step_scale": args.step_scale,
     }
     chash = config_hash(resolved)
-    report = run_daa(inst, max_iters=args.iters, step_scale=args.step_scale, trace=args.trace)
+    try:
+        report = run_daa(inst, max_iters=args.iters, step_scale=args.step_scale, trace=args.trace)
+    except ValueError as exc:
+        print(
+            f"error: solver failed at --step-scale {args.step_scale!r}: {exc}", file=sys.stderr
+        )
+        return 2
     solution = {
         "config_hash": chash,
         "assignment": list(report.assignment.ap_of_client),
@@ -257,7 +271,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     chash = config_hash({**resolved, "command": "experiment"})
     try:
         result = run_experiment(cfg, jobs=args.jobs)
-    except (GeometryError, InfeasibleClientError) as exc:
+    except (GeometryError, ValueError) as exc:  # InfeasibleClientError is a ValueError
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return 1
     csv_text = f"# config_hash={chash}\n" + slots_csv(result)
@@ -280,8 +294,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        print(
+            f"error: --values must be comma-separated integers, got {args.values!r}",
+            file=sys.stderr,
+        )
+        return 2
     cfg, resolved = _load_experiment_config(args)
-    values = [int(v) for v in args.values.split(",")]
     chash = config_hash(
         {**resolved, "command": "sweep", "vary": args.vary, "values": values}
     )

@@ -80,7 +80,7 @@ def client_subproblem(inst: Instance, prices: np.ndarray, j: int) -> int:
 
 def dual_value(inst: Instance, prices: np.ndarray) -> float:
     """Dual objective at the given simplex prices: sum of per-client minima."""
-    _, _, g, _ = _iterate_subproblems(inst, np.asarray(prices, dtype=float))
+    _, g, _ = _Sweep(inst)(np.asarray(prices, dtype=float))
     return g
 
 
@@ -100,31 +100,58 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("entries must be finite")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho_candidates = np.nonzero(u * np.arange(1, v.size + 1) > css - 1.0)[0]
-    rho = int(rho_candidates[-1]) + 1
-    theta = (css[rho - 1] - 1.0) / rho
-    return np.maximum(v - theta, 0.0)
+    return np.array(_project(v.tolist()))
 
 
-def _iterate_subproblems(
-    inst: Instance, prices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """All client subproblems at once.
+def _project(v: list[float]) -> list[float]:
+    """`project_simplex` on a list of Python floats.
 
-    Returns (chosen AP per client, per-AP loads, dual objective, subgradient).
-    Per-client segments are AP-ascending, so taking the first minimum in each
-    segment reproduces the scalar tie-break exactly.
+    At a few APs the projection is cheaper as a Python loop than as numpy
+    calls.  The operations and their order are numpy's (descending sort,
+    sequential running sum, clamp returning +0.0), so the result is the same
+    to the bit.
     """
-    weighted = inst.beta * prices[inst.pairs.ap]
-    winner = inst.pairs.first_argmin(weighted)
-    chosen_ap = inst.pairs.ap[winner]
-    g = float(np.sum(weighted[winner]))
-    loads = np.bincount(chosen_ap, weights=inst.beta[winner], minlength=inst.n_aps)
-    return chosen_ap, loads, g, -loads
+    if not all(map(math.isfinite, v)):
+        raise ValueError("entries must be finite")
+    css = top = 0.0
+    rho = 0
+    for r, x in enumerate(sorted(v, reverse=True), 1):
+        css += x
+        if x * r > css - 1.0:
+            rho, top = r, css
+    if not rho:  # x > x - 1.0 fails for every entry beyond ~2**53
+        raise ValueError("entries too large to project in double precision")
+    theta = (top - 1.0) / rho
+    return [y if y > 0.0 else 0.0 for y in (x - theta for x in v)]
+
+
+class _Sweep:
+    """All client subproblems at once, on padded (M, D) client x candidate
+    tables, D the largest candidate-set size.
+
+    Row j holds client j's candidates AP-ascending, so the first minimum of
+    a row is the smallest-index tie-break; padding cells carry +inf, added
+    after the beta*price product so that it never meets a zero price.
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        pairs = inst.pairs
+        self.ap = pairs.pad(pairs.ap, 0)
+        self.beta = pairs.pad(inst.beta, 0.0)
+        self.pen = pairs.pad(np.zeros(inst.beta.size), np.inf)
+        self.row = np.arange(0, self.ap.size, pairs.width)  # flat index of row starts
+
+    def __call__(self, prices: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """(chosen AP per client, dual objective, per-AP loads) at `prices`.
+
+        The loads accumulate in client order."""
+        w = self.beta * prices.take(self.ap)
+        w += self.pen
+        chosen = self.row + w.argmin(axis=1)
+        chosen_ap = self.ap.take(chosen)
+        g = float(np.add.reduce(w.take(chosen)))
+        loads = np.bincount(chosen_ap, weights=self.beta.take(chosen), minlength=prices.size)
+        return chosen_ap, g, loads
 
 
 def _run(
@@ -136,33 +163,38 @@ def _run(
 ) -> SolveReport:
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not step_scale > 0.0:
-        raise ValueError("step_scale must be strictly positive")
+    if not 0.0 < step_scale < math.inf:
+        raise ValueError("step_scale must be positive and finite")
     if inst.n_aps < 1:
         raise ValueError("instance has no APs")
-    prices = np.full(inst.n_aps, 1.0 / inst.n_aps)
+    sweep = _Sweep(inst)
+    prices = [1.0 / inst.n_aps] * inst.n_aps
     # best_dual is nondecreasing and best_primal nonincreasing in k; weak
     # duality keeps best_dual <= best_primal
     best_dual, best_primal = -math.inf, math.inf
-    best_assignment: tuple[int, ...] = ()
+    best_chosen = np.zeros(0, dtype=np.int64)
     trace_rows: list[tuple[int, float, float, float, float]] | None = [] if trace else None
     price_rows: list[np.ndarray] | None = [] if collect_prices else None
 
     for k in range(1, max_iters + 1):
+        price_array = np.array(prices)
         if price_rows is not None:
-            price_rows.append(prices.copy())
-        chosen_ap, loads, g, u = _iterate_subproblems(inst, prices)
-        t_k = float(loads.max(initial=0.0))
+            price_rows.append(price_array)
+        chosen_ap, g, loads = sweep(price_array)
+        loads = loads.tolist()
+        t_k = float(max(loads))  # float even when no clients leave integer loads
         if t_k < best_primal:
             best_primal = t_k
-            best_assignment = tuple(int(i) for i in chosen_ap)
+            best_chosen = chosen_ap
         if g > best_dual:
             best_dual = g
         if trace_rows is not None:
             trace_rows.append((k, g, t_k, best_dual, best_primal))
-        prices = project_simplex(prices - (step_scale / k) * u)
+        # step along the subgradient u = -loads with size step_scale/k
+        step = step_scale / k
+        prices = _project([p - step * -y for p, y in zip(prices, loads)])
 
-    assignment = Assignment(ap_of_client=best_assignment, objective=best_primal)
+    assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
     # summation rounding can push the dual a few ulps past an exactly optimal
     # primal; the certificate is still a width, never negative
     gap = max(0.0, best_primal - best_dual)

@@ -76,12 +76,28 @@ class Pairs:
         """Candidate-set size of every client."""
         return np.diff(self.start, append=self.client.size)
 
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Position of every pair within its client's segment."""
+        return _frozen(np.arange(self.client.size) - self.start[self.client])
+
+    @cached_property
+    def width(self) -> int:
+        """Columns of a padded client table: the largest candidate-set size,
+        at least 1."""
+        return int(self.sizes.max(initial=1))
+
+    def pad(self, values: np.ndarray, fill) -> np.ndarray:
+        """Lay a per-pair array out as an (M, width) client table: row j holds
+        client j's pairs AP-ascending, then `fill`."""
+        values = np.asarray(values)
+        table = np.full((self.start.size, self.width), fill, dtype=values.dtype)
+        table[self.client, self.rank] = values
+        return table
+
     def first_argmin(self, values: np.ndarray) -> np.ndarray:
         """Per client, the index of the first pair minimizing `values`."""
-        seg_min = np.minimum.reduceat(values, self.start)
-        at_min = values <= seg_min[self.client]
-        pair_idx = np.where(at_min, np.arange(values.size), values.size)
-        return np.minimum.reduceat(pair_idx, self.start)
+        return self.start + self.pad(values, np.inf).argmin(axis=1)
 
     def per_client(self, values: np.ndarray) -> list[list]:
         """Split a per-pair array into one Python list per client."""

@@ -5,7 +5,9 @@ enumerates assignment tuples directly from the candidate sets, and the
 geometry/projection checks are closed-form or first-principles.  The
 `ref_*` functions are the plain dict-and-loop forms of the instance
 pruning, per-AP loads, client subproblem and certificates, kept as
-references for the library's pair-array forms.
+references for the library's pair-array forms, plus the segmented-numpy
+form of the dual iteration and the numpy simplex projection, kept as
+bitwise references for the solver's padded-table loop.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmwassoc.instance import InfeasibleClientError, Instance, instance_from_beta
+from mmwassoc.dual_solver import SolveReport
+from mmwassoc.instance import Assignment, InfeasibleClientError, Instance, instance_from_beta
 
 _REL_TOL = 1e-12
 
@@ -264,3 +267,81 @@ def ref_duality_gap_bound(inst: DictInstance) -> float:
         for j, cands in enumerate(inst.candidates_of_client)
     )
     return (inst.n_aps + 1) * (overall_max + worst_client_min)
+
+
+def ref_project_simplex(v: np.ndarray) -> np.ndarray:
+    """Sort-and-threshold simplex projection on numpy arrays.
+
+    Raises IndexError when no threshold index qualifies (entries above
+    ~2**53, where x > x - 1.0 is false)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("expected a nonempty 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("entries must be finite")
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho_candidates = np.nonzero(u * np.arange(1, v.size + 1) > css - 1.0)[0]
+    rho = int(rho_candidates[-1]) + 1
+    theta = (css[rho - 1] - 1.0) / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def _ref_first_argmin(inst: Instance, values: np.ndarray) -> np.ndarray:
+    """Per client, the index of the first pair minimizing `values`, by
+    segment reductions over the flat pair arrays."""
+    pairs = inst.pairs
+    seg_min = np.minimum.reduceat(values, pairs.start)
+    at_min = values <= seg_min[pairs.client]
+    pair_idx = np.where(at_min, np.arange(values.size), values.size)
+    return np.minimum.reduceat(pair_idx, pairs.start)
+
+
+def _ref_iterate_subproblems(
+    inst: Instance, prices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """All client subproblems: (chosen AP per client, per-AP loads, dual
+    objective, subgradient)."""
+    weighted = inst.beta * prices[inst.pairs.ap]
+    winner = _ref_first_argmin(inst, weighted)
+    chosen_ap = inst.pairs.ap[winner]
+    g = float(np.sum(weighted[winner]))
+    loads = np.bincount(chosen_ap, weights=inst.beta[winner], minlength=inst.n_aps)
+    return chosen_ap, loads, g, -loads
+
+
+def ref_run_daa(
+    inst: Instance,
+    max_iters: int,
+    step_scale: float = 1.0,
+    trace: bool = False,
+    collect_prices: bool = False,
+) -> SolveReport:
+    """The dual loop on flat pair arrays, one numpy projection per iteration."""
+    prices = np.full(inst.n_aps, 1.0 / inst.n_aps)
+    best_dual, best_primal = -math.inf, math.inf
+    best_assignment: tuple[int, ...] = ()
+    trace_rows: list | None = [] if trace else None
+    price_rows: list | None = [] if collect_prices else None
+    for k in range(1, max_iters + 1):
+        if price_rows is not None:
+            price_rows.append(prices.copy())
+        chosen_ap, loads, g, u = _ref_iterate_subproblems(inst, prices)
+        t_k = float(loads.max(initial=0.0))
+        if t_k < best_primal:
+            best_primal = t_k
+            best_assignment = tuple(int(i) for i in chosen_ap)
+        if g > best_dual:
+            best_dual = g
+        if trace_rows is not None:
+            trace_rows.append((k, g, t_k, best_dual, best_primal))
+        prices = ref_project_simplex(prices - (step_scale / k) * u)
+    return SolveReport(
+        iterations_run=max_iters,
+        dual_value=best_dual,
+        primal_value=best_primal,
+        assignment=Assignment(ap_of_client=best_assignment, objective=best_primal),
+        gap_certificate=max(0.0, best_primal - best_dual),
+        per_iteration_trace=trace_rows,
+        price_trace=price_rows,
+    )

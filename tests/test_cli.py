@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from mmwassoc.cli import main
 from mmwassoc.instance import example1_instance, instance_to_json
+
+FIXTURE = Path(__file__).parent / "fixtures" / "chain_three_cells.json"
 
 
 @pytest.fixture()
@@ -259,3 +262,89 @@ def test_verify_refuses_stale_directory(tmp_path):
     )
     with pytest.raises(SystemExit, match="stale"):
         main(["verify", "--out", str(out)])
+
+
+def test_solve_huge_step_scale_exits_2(tmp_path, capsys):
+    argv = ["solve", str(FIXTURE), "--step-scale", "1e17", "--iters", "50"]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "too large to project" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_experiment_huge_step_scale_fails_cleanly(tmp_path, capsys, jobs):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        json.dumps({"n_aps": 2, "n_clients": 6, "slots": 2, "daa_iters": 20, "step_scale": 1e17})
+    )
+    argv = ["experiment", "--config", str(path), "--jobs", jobs]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment failed: ")
+    assert "too large to project" in err
+
+
+@pytest.mark.parametrize("values", ["4,x", "4,,8", ""])
+def test_sweep_rejects_non_integer_values(config_file, tmp_path, capsys, values):
+    argv = ["sweep", "--config", str(config_file), "--vary", "n_clients", "--values", values]
+    code = main(argv + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "--values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+@pytest.mark.parametrize("doc", [[1, 2], 3, "n_aps", None])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tx_power_mw", True),
+        ("step_scale", "2"),
+        ("demand_max_bps", True),
+        ("noise_dbm_per_mhz", True),
+        ("interference_dbm_per_mhz", "-150"),
+        ("bandwidth_hz", "1.2e9"),
+        ("target_snr_db", False),
+        ("exact_limit", [1e6]),
+    ],
+)
+def test_float_config_keys_accept_numbers_only(tmp_path, capsys, key, value):
+    doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_float_config_keys_accept_json_integers(tmp_path):
+    doc = {
+        "n_aps": 2,
+        "n_clients": 6,
+        "slots": 1,
+        "daa_iters": 20,
+        "step_scale": 1,
+        "bandwidth_hz": 1200000000,
+        "noise_dbm_per_mhz": -134,
+        "demand_max_bps": 400000000,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -1,0 +1,113 @@
+"""The solver's padded-table loop and Python-float projection against the
+segmented-numpy references in `oracles`, bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmwassoc.dual_solver import client_subproblem, dual_value, project_simplex, run_daa
+from mmwassoc.instance import instance_from_beta
+from oracles import ref_project_simplex, ref_run_daa
+
+utilizations = st.one_of(
+    st.sampled_from([0.125, 0.25, 0.5, 1.0]),  # exact ties and the boundary
+    st.floats(min_value=1e-3, max_value=1.0),
+)
+
+
+@st.composite
+def instances(draw):
+    """Random instances with N in 1..8 and M in 0..12; a client may be pinned
+    to one AP or see several, with tied utilizations."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 12))
+    beta = {}
+    for j in range(m):
+        aps = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        for i in aps:
+            beta[(i, j)] = draw(utilizations)
+    return instance_from_beta(n, m, beta)
+
+
+def assert_same_report(new, ref):
+    assert new.per_iteration_trace == ref.per_iteration_trace
+    assert [type(x) for row in new.per_iteration_trace for x in row] == [
+        type(x) for row in ref.per_iteration_trace for x in row
+    ]
+    assert len(new.price_trace) == len(ref.price_trace)
+    for a, b in zip(new.price_trace, ref.price_trace):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert new.assignment == ref.assignment
+    assert type(new.assignment.ap_of_client) is tuple
+    assert all(type(i) is int for i in new.assignment.ap_of_client)
+    for attr in ("iterations_run", "dual_value", "primal_value", "gap_certificate"):
+        assert repr(getattr(new, attr)) == repr(getattr(ref, attr))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    instances(),
+    st.integers(1, 60),
+    st.one_of(st.sampled_from([1.0, 0.5, 2.0]), st.floats(1e-3, 50.0)),
+    st.data(),
+)
+def test_run_daa_matches_reference_bitwise(inst, iters, step, data):
+    new = run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
+    ref = ref_run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
+    assert_same_report(new, ref)
+
+    price = st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0)
+    prices = np.array(data.draw(st.lists(price, min_size=inst.n_aps, max_size=inst.n_aps)))
+    # per client, its candidates' beta*price values, AP-ascending
+    weighted = inst.pairs.per_client(inst.beta * prices[inst.pairs.ap])
+    assert repr(dual_value(inst, prices)) == repr(float(np.sum([min(w) for w in weighted])))
+    for j, (cands, values) in enumerate(zip(inst.candidates_of_client, weighted)):
+        assert client_subproblem(inst, prices, j) == cands[values.index(min(values))]
+
+
+entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 / 3.0, -2.0]),  # exact ties
+    st.floats(-1e17, 1e17),
+    st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(entries, min_size=1, max_size=200))
+def test_project_simplex_matches_reference_bitwise(values):
+    v = np.array(values)
+    try:
+        expected = ref_project_simplex(v)
+    except (IndexError, ValueError):
+        with pytest.raises(ValueError):
+            project_simplex(v)
+        return
+    got = project_simplex(v)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_project_simplex_rejects_entries_beyond_double_precision():
+    with pytest.raises(ValueError, match="too large to project in double precision"):
+        project_simplex(np.array([1e17, 0.0]))
+    with pytest.raises(IndexError):  # the reference's failure this replaces
+        ref_project_simplex(np.array([1e17, 0.0]))
+
+
+def test_zero_client_instance_keeps_float_trace_rows():
+    inst = instance_from_beta(3, 0, {})
+    report = run_daa(inst, 4, trace=True, collect_prices=True)
+    assert report.per_iteration_trace == [(k, 0.0, 0.0, 0.0, 0.0) for k in range(1, 5)]
+    assert all(type(x) is float for row in report.per_iteration_trace for x in row[1:])
+    assert report.assignment.ap_of_client == ()
+    assert_same_report(report, ref_run_daa(inst, 4, trace=True, collect_prices=True))
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf])
+def test_run_daa_rejects_non_finite_step_at_entry(step):
+    inst = instance_from_beta(2, 2, {(0, 0): 0.5, (1, 1): 0.5})
+    with pytest.raises(ValueError, match="step_scale"):
+        run_daa(inst, 5, step_scale=step)
