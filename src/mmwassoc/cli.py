@@ -129,7 +129,11 @@ def _cast_config_value(key: str, value, kind: type):
         return int(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    # JSON's Infinity/NaN literals; an infinite exact_limit means "no limit"
+    if not math.isfinite(value) and not (key == "exact_limit" and value == math.inf):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return value
 
 
 def _write_text(path: Path, text: str) -> None:

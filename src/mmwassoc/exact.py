@@ -58,43 +58,68 @@ class NodeBudgetExceeded(RuntimeError):
 def enumerate_assignments(inst: Instance, limit: int = ENUMERATION_LIMIT) -> ExactResult:
     """Exhaustive minimum over every one-AP-per-client assignment.
 
-    Grows a (combinations, n_aps) load table client by client; clients added
-    later vary fastest, so the reported argmin is the lexicographically first
-    optimum in candidate-set order.
+    Grows a (rows, n_aps) load table client by client, adding each choice's
+    utilization to the one column it changes, so every load is the same
+    client-order sum as in the full table.  Clients added later vary
+    fastest, so the rows stay in lexicographic candidate-set order and the
+    reported argmin is the first optimum in that order.
+
+    The table is bounded by U, the objective of the greedy incumbent: a
+    child row is kept only if its changed column is <= U.  Utilizations are
+    positive, so loads never fall as clients are added: a dropped row ends
+    above U >= optimum, and every optimal row survives.  The result is thus
+    bitwise that of the full table, and `nodes_explored` still counts the
+    whole assignment space, which the result certifies.
     """
     product = inst.candidate_product()
     if product > limit:
         raise ValueError(
             f"search space {product:.3g} exceeds the enumeration limit {limit}"
         )
-    count = int(round(product))
+    _, bound = _greedy_incumbent(inst)
     pairs = inst.pairs
     sizes = pairs.sizes.tolist()
     loads = np.zeros((1, inst.n_aps))
+    index = np.zeros(1, dtype=np.int64)  # each row's mixed-radix assignment index
     for lo, size in zip(pairs.start.tolist(), sizes):
-        contrib = np.zeros((size, inst.n_aps))
-        contrib[np.arange(size), pairs.ap[lo : lo + size]] = inst.beta[lo : lo + size]
-        loads = (loads[:, None, :] + contrib[None, :, :]).reshape(-1, inst.n_aps)
+        aps = pairs.ap[lo : lo + size]
+        changed = loads[:, aps] + inst.beta[lo : lo + size]  # (rows, size) block
+        row, choice = np.nonzero(changed <= bound)  # row-major: order is kept
+        loads = loads[row]
+        loads[np.arange(row.size), aps[choice]] = changed[row, choice]
+        index = index[row] * size + choice
     objectives = loads.max(axis=1, initial=0.0)
     best = int(np.argmin(objectives))
-    # the row index is mixed-radix in the candidate-set sizes, last client fastest
-    choice = pairs.ap[pairs.start + np.unravel_index(best, sizes)].tolist()
+    # the index is mixed-radix in the candidate-set sizes, last client fastest
+    digits = np.asarray(np.unravel_index(int(index[best]), sizes), dtype=np.int64)
+    choice = pairs.ap[pairs.start + digits].tolist()
     return ExactResult(
         optimal_value=float(objectives[best]),
         assignment=make_assignment(inst, choice),
-        nodes_explored=max(count, 1),
+        nodes_explored=max(int(round(product)), 1),
     )
 
 
-def _greedy_assignment(
-    n_aps: int, options: list[list[tuple[float, int]]], order: list[int]
-) -> list[int]:
-    """Longest-processing-time style warm start: hardest clients first, each
-    to its least-loaded candidate AP.  `options[j]` lists client j's
-    (beta, ap) pairs, AP-ascending."""
-    loads = [0.0] * n_aps
-    ap_of_client = [-1] * len(options)
-    for j in order:
+def _client_options(inst: Instance) -> tuple[list[float], list[list[tuple[float, int]]]]:
+    """Per client, its cheapest utilization and its (beta, ap) candidates,
+    AP-ascending."""
+    pairs = inst.pairs
+    cheapest = np.minimum.reduceat(inst.beta, pairs.start).tolist()
+    options = [
+        list(zip(betas, aps))
+        for betas, aps in zip(pairs.per_client(inst.beta), pairs.per_client(pairs.ap))
+    ]
+    return cheapest, options
+
+
+def _greedy_incumbent(inst: Instance) -> tuple[list[int], float]:
+    """Longest-processing-time style incumbent: hardest clients (largest
+    cheapest utilization) first, each to its least-loaded candidate AP.
+    Returns the client->AP map and its objective."""
+    cheapest, options = _client_options(inst)
+    loads = [0.0] * inst.n_aps
+    ap_of_client = [-1] * inst.n_clients
+    for j in sorted(range(inst.n_clients), key=lambda j: -cheapest[j]):
         best_i, best_load = -1, math.inf
         for b, i in options[j]:
             new = loads[i] + b
@@ -102,11 +127,7 @@ def _greedy_assignment(
                 best_i, best_load = i, new
         ap_of_client[j] = best_i
         loads[best_i] = best_load
-    return ap_of_client
-
-
-class _SearchDone(Exception):
-    """Internal: the incumbent met a certified lower bound, stop searching."""
+    return ap_of_client, float(per_ap_loads(inst, ap_of_client).max(initial=0.0))
 
 
 def branch_and_bound(
@@ -124,23 +145,20 @@ def branch_and_bound(
     forced remaining utilization, i.e. the uniform-price dual value of the
     subtree) can beat the incumbent.  `lower_bound`, when given, must be a
     certified bound on the optimum (e.g. the relaxation value): the search
-    stops as soon as the incumbent is within 1e-12 of it.
+    stops as soon as the incumbent is within 1e-12 of it.  The search runs
+    on an explicit stack, so its depth is not bounded by Python's recursion
+    limit.
     """
     n = inst.n_aps
-    pairs = inst.pairs
-    cheapest = np.minimum.reduceat(inst.beta, pairs.start).tolist()
-    client_options = [
-        list(zip(betas, aps))
-        for betas, aps in zip(pairs.per_client(inst.beta), pairs.per_client(pairs.ap))
-    ]
-    base_loads = [0.0] * n
-    base_map = [-1] * inst.n_clients
+    cheapest, client_options = _client_options(inst)
+    loads = [0.0] * n
+    partial_map = [-1] * inst.n_clients
     branchable = []
     for j, opts in enumerate(client_options):
         if len(opts) == 1:
             b, i = opts[0]
-            base_map[j] = i
-            base_loads[i] += b
+            partial_map[j] = i
+            loads[i] += b
         else:
             branchable.append(j)
     order = sorted(branchable, key=lambda j: -cheapest[j])
@@ -154,17 +172,13 @@ def branch_and_bound(
         suffix_sum[d] = suffix_sum[d + 1] + rho
         suffix_max[d] = max(suffix_max[d + 1], rho)
 
-    greedy_order = sorted(range(inst.n_clients), key=lambda j: -cheapest[j])
-    incumbent_map = _greedy_assignment(n, client_options, greedy_order)
-    incumbent_val = float(per_ap_loads(inst, incumbent_map).max(initial=0.0))
+    incumbent_map, incumbent_val = _greedy_incumbent(inst)
     if warm_start is not None:
         ws_val = float(per_ap_loads(inst, warm_start.ap_of_client).max(initial=0.0))
         if ws_val < incumbent_val:
             incumbent_val = ws_val
             incumbent_map = list(warm_start.ap_of_client)
 
-    loads = base_loads
-    partial_map = base_map
     nodes = 0
     done_at = -math.inf if lower_bound is None else lower_bound + 1e-12
 
@@ -175,47 +189,49 @@ def branch_and_bound(
             nodes_explored=nodes,
         )
 
-    def descend(depth: int, partial_max: float, partial_total: float) -> None:
-        nonlocal incumbent_val, incumbent_map, nodes
-        if depth == depth_count:
-            if partial_max < incumbent_val:
-                final = list(partial_map)
-                incumbent_val = float(per_ap_loads(inst, final).max(initial=0.0))
-                incumbent_map = final
-                if incumbent_val <= done_at:
-                    raise _SearchDone
-            return
-        j = order[depth]
-        children = sorted((loads[i] + b, b, i) for b, i in options[depth])
+    # with no client to branch on, the greedy map is the forced map: no leaf beats it
+    if depth_count == 0 or incumbent_val <= done_at:
+        return result()
+    # the current node lives in locals; the stack holds its ancestors, each
+    # with its remaining children and the load its open child restores
+    stack = []
+    depth, partial_max, partial_total = 0, max(loads, default=0.0), float(sum(loads))
+    children = iter(sorted([(loads[i] + b, b, i) for b, i in options[0]]))
+    while True:
+        j, rest_sum, rest_max = order[depth], suffix_sum[depth + 1], suffix_max[depth + 1]
         for new_load, b, i in children:
             nodes += 1
             if nodes > node_budget:
                 raise NodeBudgetExceeded(result())
             child_max = new_load if new_load > partial_max else partial_max
             child_total = partial_total + b
-            bound = (child_total + suffix_sum[depth + 1]) / n
+            bound = (child_total + rest_sum) / n
             if child_max > bound:
                 bound = child_max
-            if suffix_max[depth + 1] > bound:
-                bound = suffix_max[depth + 1]
+            if rest_max > bound:
+                bound = rest_max
             if bound >= incumbent_val:
                 continue
             loads[i] = new_load
             partial_map[j] = i
-            descend(depth + 1, child_max, child_total)
+            if depth + 1 < depth_count:
+                stack.append((depth, partial_max, partial_total, children, i, new_load - b))
+                depth, partial_max, partial_total = depth + 1, child_max, child_total
+                children = iter(sorted([(loads[i] + b, b, i) for b, i in options[depth]]))
+                break
+            # every client placed, below the incumbent (bound >= child_max)
+            incumbent_map = list(partial_map)
+            incumbent_val = float(per_ap_loads(inst, incumbent_map).max(initial=0.0))
+            if incumbent_val <= done_at:
+                return result()
             loads[i] = new_load - b
             partial_map[j] = -1
-
-    try:
-        if incumbent_val > done_at:
-            descend(
-                0,
-                max(base_loads, default=0.0),
-                float(sum(base_loads)),
-            )
-    except _SearchDone:
-        pass
-    return result()
+        else:
+            if not stack:
+                return result()
+            depth, partial_max, partial_total, children, i, restored = stack.pop()
+            loads[i] = restored
+            partial_map[order[depth]] = -1
 
 
 def solve_milp_exact(

@@ -210,6 +210,58 @@ def test_config_rejects_non_numbers_and_bad_values(tmp_path, capsys, key, value)
     assert key in capsys.readouterr().err
 
 
+FLOAT_KEYS = [
+    "wavelength_m",
+    "bandwidth_hz",
+    "ref_distance_m",
+    "path_loss_exp",
+    "tx_power_mw",
+    "tx_gain",
+    "rx_gain",
+    "step_scale",
+    "target_snr_db",
+    "ap_spacing_factor",
+    "demand_max_bps",
+    "noise_dbm_per_mhz",
+    "interference_dbm_per_mhz",
+]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, value) for key in FLOAT_KEYS for value in ("Infinity", "-Infinity", "NaN")]
+    + [("exact_limit", "-Infinity"), ("exact_limit", "NaN")],
+)
+def test_config_rejects_non_finite_floats(tmp_path, capsys, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"n_aps": 2, "n_clients": 4, "slots": 1, "{key}": {value}}}')
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert key in message and "finite" in message
+    assert message.count("\n") == 1 and "Traceback" not in message
+
+
+def test_config_exact_limit_accepts_positive_infinity(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"n_aps": 2, "n_clients": 4, "slots": 1, "daa_iters": 20, "exact_limit": Infinity}'
+    )
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out), "--exact"]) == 0
+
+
+def test_solve_exact_on_zero_clients(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n_aps": 2, "n_clients": 0, "demands": [], "links": []}))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out), "--exact"]) == 0
+    solution = json.loads(next(out.glob("solve_*.json")).read_text())
+    assert solution["p_star"] == 0.0
+    assert solution["assignment"] == []
+
+
 def test_sweep_writes_one_row_per_value(config_file, tmp_path):
     out = tmp_path / "out"
     code = main(

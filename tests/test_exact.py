@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from mmwassoc.dual_solver import dual_value, run_daa
 from mmwassoc.exact import (
     NodeBudgetExceeded,
+    _greedy_incumbent,
     branch_and_bound,
     enumerate_assignments,
     lp_cs_residual,
@@ -52,6 +55,55 @@ def test_enumeration_matches_brute_force_oracle():
         assert result.nodes_explored == int(inst.candidate_product())
 
 
+@st.composite
+def small_search_spaces(draw):
+    """Instances with N in 1..5, M in 0..9 and at most 20,000 assignments.
+
+    Utilizations come from a small set, so exact ties between assignments
+    are common; 0.1 and 0.3 are not dyadic, so their sums round.  A client
+    may be pinned to one AP."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 9))
+    beta, product = {}, 1
+    for j in range(m):
+        widest = min(n, 20_000 // product)
+        aps = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=widest, unique=True))
+        product *= len(aps)
+        for i in aps:
+            beta[(i, j)] = draw(st.sampled_from([0.125, 0.25, 0.5, 0.75, 0.1, 0.3]))
+    return instance_from_beta(n, m, beta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_search_spaces())
+def test_bounded_enumeration_matches_brute_force_bitwise(inst):
+    oracle_val, oracle_map = brute_force(inst)
+    result = enumerate_assignments(inst)
+    assert repr(result.optimal_value) == repr(oracle_val)
+    assert result.assignment.ap_of_client == oracle_map
+    assert result.nodes_explored == int(inst.candidate_product())
+
+
+def test_enumeration_returns_first_optimum_when_greedy_ties_later():
+    # greedy places client 1 (the harder one) first: map (1, 0) at 0.5; the
+    # lexicographically earlier (0, 1) reaches the same 0.5
+    inst = instance_from_beta(
+        2, 2, {(0, 0): 0.25, (1, 0): 0.25, (0, 1): 0.5, (1, 1): 0.5}
+    )
+    assert _greedy_incumbent(inst) == ([1, 0], 0.5)
+    result = enumerate_assignments(inst)
+    assert result.optimal_value == 0.5
+    assert result.assignment.ap_of_client == (0, 1)
+
+
+def test_zero_client_instance_has_empty_optimum():
+    inst = instance_from_beta(3, 0, {})
+    for result in (enumerate_assignments(inst), solve_milp_exact(inst)):
+        assert result.optimal_value == 0.0
+        assert result.assignment.ap_of_client == ()
+        assert result.nodes_explored == 1
+
+
 def test_enumeration_respects_limit():
     inst = random_full_instance(np.random.default_rng(5), n_lo=3, n_hi=3, m_lo=10, m_hi=10)
     with pytest.raises(ValueError, match="enumeration limit"):
@@ -85,6 +137,20 @@ def test_budget_exhaustion_carries_incumbent():
     incumbent = err.value.incumbent
     assert incumbent.assignment is not None
     assert incumbent.optimal_value >= brute_force(inst)[0] - 1e-12
+
+
+def test_branch_and_bound_depth_is_not_bounded_by_recursion():
+    # one branching level per client: far deeper than Python's recursion limit
+    rng = np.random.default_rng(53)
+    m = 1500
+    beta = {(i, j): float(1.0 - rng.uniform()) for i in range(2) for j in range(m)}
+    inst = instance_from_beta(2, m, beta)
+    try:
+        result = branch_and_bound(inst, node_budget=100_000)
+    except NodeBudgetExceeded as err:
+        result = err.incumbent
+    assert result.assignment is not None
+    assert result.optimal_value == result.assignment.objective
 
 
 def test_solve_milp_routes_small_to_enumeration():
