@@ -269,8 +269,16 @@ def _load_experiment_config(args: argparse.Namespace) -> tuple[ExperimentConfig,
     return cfg, asdict(cfg)
 
 
+def _jobs_ok(args: argparse.Namespace) -> bool:
+    if args.jobs < 1:
+        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
+    return args.jobs >= 1
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    if not _jobs_ok(args):
+        return 2
     cfg, resolved = _load_experiment_config(args)
     chash = config_hash({**resolved, "command": "experiment"})
     try:
@@ -298,6 +306,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    if not _jobs_ok(args):
+        return 2
     try:
         values = [int(v) for v in args.values.split(",")]
     except ValueError:

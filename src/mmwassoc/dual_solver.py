@@ -39,6 +39,15 @@ __all__ = [
 
 TRACE_COLUMNS = ("k", "g_lambda", "t_k", "g_best", "p_best")
 
+# cells of the buffer of weighted tables whose dual values are summed at once
+# (128 KiB): a larger buffer buys no speed at the default point and raises
+# the peak RSS
+_BLOCK_CELLS = 16_384
+# key cells (one per client per stored choice pattern) the loads memo may
+# hold: 512 KiB of keys, whatever the iteration count.  Where patterns do not
+# repeat, storing more only adds allocations.
+_MEMO_CELLS = 1 << 16
+
 
 @dataclass
 class SolveReport:
@@ -74,14 +83,26 @@ def client_subproblem(inst: Instance, prices: np.ndarray, j: int) -> int:
     Returns argmin over the client's candidates of beta*price; ties go to
     the smallest AP index.
     """
-    weighted = inst.beta * np.asarray(prices, dtype=float)[inst.pairs.ap]
+    prices = _checked_prices(inst, prices)
+    if not 0 <= j < inst.n_clients:
+        raise ValueError(f"client index {j} outside 0..{inst.n_clients - 1}")
+    weighted = inst.beta * prices[inst.pairs.ap]
     return int(inst.pairs.ap[inst.pairs.first_argmin(weighted)[j]])
 
 
 def dual_value(inst: Instance, prices: np.ndarray) -> float:
     """Dual objective at the given simplex prices: sum of per-client minima."""
-    _, g, _ = _Sweep(inst)(np.asarray(prices, dtype=float))
-    return g
+    return _Sweep(inst)(_checked_prices(inst, prices))
+
+
+def _checked_prices(inst: Instance, prices) -> np.ndarray:
+    """`prices` as a float array of shape (N,), all finite, or ValueError."""
+    prices = np.asarray(prices, dtype=float)
+    if prices.shape != (inst.n_aps,) or not np.isfinite(prices).all():
+        raise ValueError(
+            f"prices must be {inst.n_aps} finite numbers, got shape {prices.shape}"
+        )
+    return prices
 
 
 def subgradient(inst: Instance, assignment: Assignment) -> np.ndarray:
@@ -141,17 +162,11 @@ class _Sweep:
         self.pen = pairs.pad(np.zeros(inst.beta.size), np.inf)
         self.row = np.arange(0, self.ap.size, pairs.width)  # flat index of row starts
 
-    def __call__(self, prices: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-        """(chosen AP per client, dual objective, per-AP loads) at `prices`.
-
-        The loads accumulate in client order."""
+    def __call__(self, prices: np.ndarray) -> float:
+        """Dual objective at `prices`: the sum of the per-client minima."""
         w = self.beta * prices.take(self.ap)
         w += self.pen
-        chosen = self.row + w.argmin(axis=1)
-        chosen_ap = self.ap.take(chosen)
-        g = float(np.add.reduce(w.take(chosen)))
-        loads = np.bincount(chosen_ap, weights=self.beta.take(chosen), minlength=prices.size)
-        return chosen_ap, g, loads
+        return float(np.add.reduce(w.take(self.row + w.argmin(axis=1))))
 
 
 def _run(
@@ -168,32 +183,68 @@ def _run(
     if inst.n_aps < 1:
         raise ValueError("instance has no APs")
     sweep = _Sweep(inst)
-    prices = [1.0 / inst.n_aps] * inst.n_aps
-    # best_dual is nondecreasing and best_primal nonincreasing in k; weak
-    # duality keeps best_dual <= best_primal
-    best_dual, best_primal = -math.inf, math.inf
-    best_chosen = np.zeros(0, dtype=np.int64)
-    trace_rows: list[tuple[int, float, float, float, float]] | None = [] if trace else None
+    n_aps = inst.n_aps
+    n_clients, width = sweep.ap.shape
+    block = min(max_iters, max(1, _BLOCK_CELLS // max(1, sweep.ap.size)))
+    tables = np.empty((block, n_clients, width))
+    cols = np.empty((block, n_clients), dtype=np.intp)
+    row_starts = np.arange(0, tables.size, width).reshape(block, n_clients)
+    prices = [1.0 / n_aps] * n_aps
     price_rows: list[np.ndarray] | None = [] if collect_prices else None
+    # The next prices need only the loads of the clients' choices.  The dual
+    # value g_k is a certificate the recursion never reads, so the loop keeps
+    # each iteration's weighted table and chosen columns, and sums a whole
+    # block of per-client minima at once.  The loads are a pure function of
+    # the choice pattern, so each distinct pattern's loads and t_k are
+    # computed once per run (patterns seen after the memo is full are
+    # computed each time).
+    memo: dict[bytes, tuple[list[float], float]] = {}
+    duals: list[float] = []
+    primals: list[float] = []
+    best_primal, best_key = math.inf, b""
 
     for k in range(1, max_iters + 1):
         price_array = np.array(prices)
         if price_rows is not None:
             price_rows.append(price_array)
-        chosen_ap, g, loads = sweep(price_array)
-        loads = loads.tolist()
-        t_k = float(max(loads))  # float even when no clients leave integer loads
+        b = (k - 1) % block
+        w = np.multiply(sweep.beta, price_array.take(sweep.ap), out=tables[b])
+        w += sweep.pen
+        key = w.argmin(axis=1, out=cols[b]).tobytes()
+        entry = memo.get(key)
+        if entry is None:
+            # loads accumulate in client order
+            chosen = sweep.row + cols[b]
+            loads = np.bincount(
+                sweep.ap.take(chosen), weights=sweep.beta.take(chosen), minlength=n_aps
+            ).tolist()
+            entry = (loads, float(max(loads)))  # float even with no clients
+            if len(memo) * n_clients < _MEMO_CELLS:
+                memo[key] = entry
+        loads, t_k = entry
+        primals.append(t_k)
         if t_k < best_primal:
-            best_primal = t_k
-            best_chosen = chosen_ap
-        if g > best_dual:
-            best_dual = g
-        if trace_rows is not None:
-            trace_rows.append((k, g, t_k, best_dual, best_primal))
+            best_primal, best_key = t_k, key
+        if b == block - 1 or k == max_iters:
+            chosen = row_starts[: b + 1] + cols[: b + 1]
+            duals += np.add.reduce(tables.take(chosen), axis=1).tolist()
         # step along the subgradient u = -loads with size step_scale/k
         step = step_scale / k
         prices = _project([p - step * -y for p, y in zip(prices, loads)])
 
+    # weak duality keeps every g_k below every t_k, so best_dual <= best_primal
+    best_dual = max(duals)
+    trace_rows: list[tuple[int, float, float, float, float]] | None = None
+    if trace:
+        trace_rows = []
+        running_dual, running_primal = -math.inf, math.inf
+        for k, (g, t_k) in enumerate(zip(duals, primals), 1):
+            if g > running_dual:
+                running_dual = g
+            if t_k < running_primal:
+                running_primal = t_k
+            trace_rows.append((k, g, t_k, running_dual, running_primal))
+    best_chosen = sweep.ap.take(sweep.row + np.frombuffer(best_key, dtype=np.intp))
     assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
     # summation rounding can push the dual a few ulps past an exactly optimal
     # primal; the certificate is still a width, never negative
@@ -260,8 +311,8 @@ def convergence_bound(inst: Instance, step_scale: float, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not step_scale > 0.0:
-        raise ValueError("step_scale must be strictly positive")
+    if not 0.0 < step_scale < math.inf:
+        raise ValueError("step_scale must be positive and finite")
     per_ap = np.bincount(inst.pairs.ap, weights=inst.beta, minlength=inst.n_aps)
     g_sq = float(np.sum(per_ap**2))
     harmonic = float(np.sum(1.0 / np.arange(1, k + 1)))

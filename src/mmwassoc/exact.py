@@ -200,9 +200,9 @@ def branch_and_bound(
     while True:
         j, rest_sum, rest_max = order[depth], suffix_sum[depth + 1], suffix_max[depth + 1]
         for new_load, b, i in children:
-            nodes += 1
-            if nodes > node_budget:
+            if nodes == node_budget:  # this node would break the budget: not evaluated
                 raise NodeBudgetExceeded(result())
+            nodes += 1
             child_max = new_load if new_load > partial_max else partial_max
             child_total = partial_total + b
             bound = (child_total + rest_sum) / n

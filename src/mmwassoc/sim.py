@@ -10,6 +10,7 @@ evaluated in parallel, and results are bitwise identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -249,11 +250,16 @@ def aggregate(cfg: ExperimentConfig, results: Sequence[SlotResult]) -> dict:
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run every slot and average.  Worker count never changes the numbers:
     slots use counter-derived substreams and results merge in slot order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     topo = generate_topology(cfg)
     tasks = [(cfg, topo, t) for t in range(cfg.slots)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_slot_task, tasks, chunksize=max(1, cfg.slots // (4 * jobs))))
+    # the pool forks all its workers at once: no more than there are slots or CPUs
+    workers = min(jobs, cfg.slots, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, cfg.slots // (4 * workers))
+            results = list(pool.map(_slot_task, tasks, chunksize=chunksize))
     else:
         results = [run_slot(*task) for task in tasks]
     agg = aggregate(cfg, results)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from mmwassoc import sim
 from mmwassoc.cli import main
 from mmwassoc.instance import example1_instance, instance_to_json
 
@@ -135,6 +136,30 @@ def test_experiment_jobs_flag_changes_nothing(config_file, tmp_path):
         next(out1.glob("experiment_*.csv")).read_bytes()
         == next(out2.glob("experiment_*.csv")).read_bytes()
     )
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_exit_2(config_file, tmp_path, capsys, command, jobs):
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_file), "--out", str(out), "--jobs", jobs]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--jobs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_huge_jobs_gets_a_bounded_pool(config_file, tmp_path, monkeypatch, pool_sizes, command):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_file), "--out", str(out), "--jobs", "1000000"]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4,8"]
+    assert main(argv) == 0
+    assert pool_sizes == [3] * (2 if command == "sweep" else 1)  # the config runs 3 slots
 
 
 def test_seed_flag_changes_hash_and_results(config_file, tmp_path):

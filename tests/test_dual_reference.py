@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwassoc import dual_solver
 from mmwassoc.dual_solver import client_subproblem, dual_value, project_simplex, run_daa
 from mmwassoc.instance import instance_from_beta
 from oracles import ref_project_simplex, ref_run_daa
@@ -66,6 +67,77 @@ def test_run_daa_matches_reference_bitwise(inst, iters, step, data):
     assert repr(dual_value(inst, prices)) == repr(float(np.sum([min(w) for w in weighted])))
     for j, (cands, values) in enumerate(zip(inst.candidates_of_client, weighted)):
         assert client_subproblem(inst, prices, j) == cands[values.index(min(values))]
+
+
+def random_instance(seed, n, m, d, values=None):
+    """N APs, M clients, each client seeing `d` distinct APs, utilizations
+    drawn from `values` (exact ties) or uniform on (0, 1]."""
+    rng = np.random.default_rng(seed)
+    beta = {}
+    for j in range(m):
+        for i in rng.choice(n, size=d, replace=False).tolist():
+            beta[(i, j)] = float(rng.choice(values) if values else 1.0 - rng.uniform())
+    return instance_from_beta(n, m, beta)
+
+
+def block_size(inst):
+    """Iterations per block of the dual-value buffer."""
+    return dual_solver._BLOCK_CELLS // (inst.n_clients * inst.pairs.width)
+
+
+def assert_loop_matches_reference(inst, iters, step=1.0):
+    new = run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
+    ref = ref_run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
+    assert_same_report(new, ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_loop_spanning_several_blocks_matches_reference(seed):
+    inst = random_instance(seed, n=5, m=300, d=3)
+    assert 200 % block_size(inst) != 0  # the last block is partial
+    assert_loop_matches_reference(inst, 200)
+
+
+def test_loop_with_exactly_full_blocks_matches_reference():
+    inst = random_instance(2, n=5, m=300, d=3)
+    assert_loop_matches_reference(inst, 2 * block_size(inst))
+
+
+@pytest.mark.parametrize("m", [1, 300])
+def test_single_iteration_matches_reference(m):
+    assert_loop_matches_reference(random_instance(3, n=4, m=m, d=2), 1)
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_tied_instances_with_repeating_patterns_match_reference(seed):
+    # few distinct utilizations: many exact ties, and choice patterns that
+    # recur, some with equal t_k but different loads
+    inst = random_instance(seed, n=3, m=40, d=2, values=[0.125, 0.25, 0.5])
+    assert_loop_matches_reference(inst, 150)
+    assert_loop_matches_reference(inst, 150, step=0.5)
+
+
+def test_symmetric_instance_with_mirrored_patterns_matches_reference():
+    # both clients see both APs at equal utilization, so they always pick the
+    # same AP: the patterns (0, 0) and (1, 1) tie on t_k, with mirrored loads
+    inst = instance_from_beta(2, 2, {(0, 0): 0.5, (1, 0): 0.5, (0, 1): 0.25, (1, 1): 0.25})
+    assert_loop_matches_reference(inst, 60)
+
+
+@pytest.mark.parametrize("patterns", [0, 1, 3])
+def test_full_memo_computes_new_patterns_each_time(monkeypatch, patterns):
+    inst = random_instance(8, n=3, m=40, d=2, values=[0.125, 0.25, 0.5])
+    monkeypatch.setattr(dual_solver, "_MEMO_CELLS", patterns * inst.n_clients)
+    assert_loop_matches_reference(inst, 150)
+
+
+def test_zero_client_instance_over_several_iterations_matches_reference():
+    assert_loop_matches_reference(instance_from_beta(4, 0, {}), 70)
+
+
+def test_more_clients_than_a_numpy_buffer_matches_reference():
+    # 10,000 clients: above the 8,192 elements numpy reduces in one buffer
+    assert_loop_matches_reference(random_instance(7, n=5, m=10_000, d=3), 3)
 
 
 entries = st.one_of(

@@ -55,6 +55,24 @@ def test_dual_value_at_vertex_counts_only_pinned_clients():
     assert dual_value(inst, np.array([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "prices",
+    [[math.nan, 0.5], [0.5, math.inf], [0.5], [0.5, 0.5, 0.0], [[0.5, 0.5]], 0.5],
+)
+def test_dual_value_and_client_subproblem_reject_bad_prices(prices):
+    inst = pair_instance()
+    with pytest.raises(ValueError, match="prices"):
+        dual_value(inst, prices)
+    with pytest.raises(ValueError, match="prices"):
+        client_subproblem(inst, prices, 0)
+
+
+@pytest.mark.parametrize("j", [-1, -2, 2, 10])
+def test_client_subproblem_rejects_client_out_of_range(j):
+    with pytest.raises(ValueError, match="client index"):
+        client_subproblem(pair_instance(), np.array([0.5, 0.5]), j)
+
+
 def test_subgradient_is_negative_load():
     inst = instance_from_beta(2, 2, {(0, 0): 0.3, (0, 1): 0.2, (1, 1): 0.9})
     a = make_assignment(inst, [0, 0])
@@ -186,6 +204,12 @@ def test_convergence_bound_decreasing_in_k():
     inst = example1_instance(4, 0.5)
     bounds = [convergence_bound(inst, 1.0, k) for k in (1, 2, 5, 10, 100, 1000)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_convergence_bound_rejects_step_outside_positive_finite(step):
+    with pytest.raises(ValueError, match="step_scale"):
+        convergence_bound(example1_instance(2, 0.5), step, 10)
 
 
 def test_convergence_bound_quadratic_in_utilizations():

@@ -139,6 +139,25 @@ def test_budget_exhaustion_carries_incumbent():
     assert incumbent.optimal_value >= brute_force(inst)[0] - 1e-12
 
 
+def test_budget_exhaustion_counts_only_budgeted_nodes():
+    # the node that would break the budget is never evaluated, so not counted
+    rng = np.random.default_rng(17)
+    inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=30, m_hi=30)
+    with pytest.raises(NodeBudgetExceeded, match=r"exhausted after 10 nodes;") as err:
+        branch_and_bound(inst, node_budget=10)
+    assert err.value.incumbent.nodes_explored == 10
+
+
+def test_budget_equal_to_search_size_finishes_and_one_less_stops():
+    rng = np.random.default_rng(23)
+    inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=9, m_hi=9)
+    full = branch_and_bound(inst)
+    assert repr(branch_and_bound(inst, node_budget=full.nodes_explored)) == repr(full)
+    with pytest.raises(NodeBudgetExceeded) as err:
+        branch_and_bound(inst, node_budget=full.nodes_explored - 1)
+    assert err.value.incumbent.nodes_explored == full.nodes_explored - 1
+
+
 def test_branch_and_bound_depth_is_not_bounded_by_recursion():
     # one branching level per client: far deeper than Python's recursion limit
     rng = np.random.default_rng(53)

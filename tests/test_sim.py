@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmwassoc.channel import cell_radius, default_params
+from mmwassoc import sim
 from mmwassoc.sim import (
     ExperimentConfig,
     aggregate,
@@ -86,6 +87,24 @@ def test_worker_count_never_changes_results():
     parallel = run_experiment(cfg, jobs=4)
     assert repr(serial.slots) == repr(parallel.slots)
     assert repr(serial.aggregates) == repr(parallel.aggregates)
+
+
+@pytest.mark.parametrize(
+    "jobs, slots, cpus, pool",
+    [(10**6, 3, 8, 3), (10**6, 12, 4, 4), (3, 12, None, None), (2, 12, 2, 2), (5, 1, 8, None)],
+)
+def test_pool_is_bounded_by_slots_and_cpus(monkeypatch, pool_sizes, jobs, slots, cpus, pool):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+    cfg = small_cfg(slots=slots, daa_iters=20)
+    result = run_experiment(cfg, jobs=jobs)
+    assert pool_sizes == ([] if pool is None else [pool])
+    assert repr(result.slots) == repr(run_experiment(cfg, jobs=1).slots)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_experiment_rejects_nonpositive_jobs(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_experiment(small_cfg(slots=1), jobs=jobs)
 
 
 def test_vanishing_demands_drive_objectives_to_zero():
