@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,12 @@ from .instance import (
     instance_from_beta,
     instance_from_json,
     instance_to_json,
+    json_bool,
+    json_int,
+    json_number,
+    json_object,
 )
-from .sim import SWEEPABLE, ExperimentConfig, GeometryError, run_experiment, sweep
+from .sim import SWEEPABLE, ExperimentConfig, GeometryError, SlotResult, run_experiment, sweep
 
 CHANNEL_KEYS = {
     "wavelength_m": "wavelength",
@@ -43,32 +47,23 @@ CHANNEL_KEYS = {
     "rx_gain": "rx_gain",
 }
 EXPERIMENT_KEYS = {
-    "n_aps": int,
-    "n_clients": int,
-    "slots": int,
-    "daa_iters": int,
-    "step_scale": float,
-    "seed": int,
-    "target_snr_db": float,
-    "ap_spacing_factor": float,
-    "with_exact": bool,
-    "force_exact": bool,
-    "exact_limit": float,
+    "n_aps": json_int,
+    "n_clients": json_int,
+    "slots": json_int,
+    "daa_iters": json_int,
+    "step_scale": json_number,
+    "seed": json_int,
+    "target_snr_db": json_number,
+    "ap_spacing_factor": json_number,
+    "with_exact": json_bool,
+    "force_exact": json_bool,
+    "exact_limit": json_number,
 }
 ACCEPTED_KEYS = (
     set(CHANNEL_KEYS)
     | set(EXPERIMENT_KEYS)
     | {"demand_max_bps", "noise_dbm_per_mhz", "interference_dbm_per_mhz"}
 )
-
-
-@dataclass
-class RunManifest:
-    config_path: str
-    command: str
-    output_dir: str
-    tool_version: str
-    config_hash: str
 
 
 def dbm_per_mhz_to_mw_per_hz(dbm_per_mhz: float) -> float:
@@ -80,9 +75,8 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def parse_experiment_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+def parse_experiment_config(doc) -> ExperimentConfig:
+    doc = json_object(doc, "config", "n_aps", "n_clients", "slots")
     unknown = sorted(set(doc) - ACCEPTED_KEYS)
     if unknown:
         print(
@@ -90,50 +84,34 @@ def parse_experiment_config(doc: dict) -> ExperimentConfig:
             f"accepted keys are {sorted(ACCEPTED_KEYS)}",
             file=sys.stderr,
         )
-
-    def number(key: str) -> float:
-        return _cast_config_value(key, doc[key], float)
-
-    noise_dbm_per_mhz = number("noise_dbm_per_mhz") if "noise_dbm_per_mhz" in doc else -134.0
+    values = {}
+    for key, value in doc.items():
+        if key == "exact_limit" and value == math.inf:  # JSON Infinity: no size limit
+            values[key] = value
+        elif key in ACCEPTED_KEYS:
+            values[key] = EXPERIMENT_KEYS.get(key, json_number)(value, key)
     channel_kwargs = {
-        "noise_density": dbm_per_mhz_to_mw_per_hz(noise_dbm_per_mhz),
         "wavelength": 5e-3,
         "bandwidth": 1.2e9,
+        **{attr: values[key] for key, attr in CHANNEL_KEYS.items() if key in values},
+        "noise_density": dbm_per_mhz_to_mw_per_hz(values.get("noise_dbm_per_mhz", -134.0)),
     }
-    for key, attr in CHANNEL_KEYS.items():
-        if key in doc:
-            channel_kwargs[attr] = number(key)
-    if doc.get("interference_dbm_per_mhz") is not None:
+    if "interference_dbm_per_mhz" in values:
         channel_kwargs["interference_density"] = dbm_per_mhz_to_mw_per_hz(
-            number("interference_dbm_per_mhz")
+            values["interference_dbm_per_mhz"]
         )
-    exp_kwargs = {
-        k: _cast_config_value(k, doc[k], kind)
-        for k, kind in EXPERIMENT_KEYS.items()
-        if k in doc
-    }
-    if "demand_max_bps" in doc:
-        exp_kwargs["demand_max"] = number("demand_max_bps")
+    exp_kwargs = {key: values[key] for key in EXPERIMENT_KEYS if key in values}
+    if "demand_max_bps" in values:
+        exp_kwargs["demand_max"] = values["demand_max_bps"]
     return ExperimentConfig(channel=ChannelParams(**channel_kwargs), **exp_kwargs)
 
 
-def _cast_config_value(key: str, value, kind: type):
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"{key} must be true or false, got {value!r}")
-        return value
-    if kind is int:
-        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-        if isinstance(value, bool) or not integral:
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    value = float(value)
-    # JSON's Infinity/NaN literals; an infinite exact_limit means "no limit"
-    if not math.isfinite(value) and not (key == "exact_limit" and value == math.inf):
-        raise ValueError(f"{key} must be finite, got {value!r}")
-    return value
+def _read_json(path: str | Path):
+    """The JSON document in the file at `path`; any failure is a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -146,17 +124,24 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return str(int(value) if isinstance(value, bool) else value)
 
 
-def _write_manifest(out: Path, manifest: RunManifest) -> None:
-    path = out / f"manifest_{manifest.command}_{manifest.config_hash}.json"
-    _write_text(path, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+def _write_manifest(out: Path, command: str, config_path: str, chash: str) -> None:
+    manifest = {
+        "config_path": config_path,
+        "command": command,
+        "output_dir": str(out),
+        "tool_version": __version__,
+        "config_hash": chash,
+    }
+    path = out / f"manifest_{command}_{chash}.json"
+    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _check_stale(out: Path, command: str, chash: str) -> None:
     for old in sorted(out.glob(f"manifest_{command}_*.json")):
-        recorded = json.loads(old.read_text()).get("config_hash")
+        recorded = json_object(_read_json(old), str(old)).get("config_hash")
         if recorded != chash:
             raise SystemExit(
                 f"output directory {out} holds stale {command} results "
@@ -165,52 +150,20 @@ def _check_stale(out: Path, command: str, chash: str) -> None:
 
 
 def slots_csv(result) -> str:
-    columns = (
-        "slot",
-        "feasible",
-        "p_daa",
-        "d_star",
-        "p_rand",
-        "p_rssi",
-        "jain_daa",
-        "jain_rand",
-        "jain_rssi",
-        "gap_bound",
-        "p_exact",
-        "p_relax",
-        "jain_exact",
-        "relative_gap",
-    )
+    columns = [field.name for field in fields(SlotResult)]
     lines = [",".join(columns)]
-    for r in result.slots:
-        lines.append(
-            ",".join(
-                _fmt(getattr(r, col)) if col != "feasible" else str(int(r.feasible))
-                for col in columns
-            )
-        )
+    lines += [",".join(_fmt(getattr(r, col)) for col in columns) for r in result.slots]
     return "\n".join(lines) + "\n"
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
     if args.iters < 1 or not 0.0 < args.step_scale < math.inf:
-        print(
-            f"error: need --iters >= 1 and a positive finite --step-scale, "
-            f"got {args.iters} and {args.step_scale}",
-            file=sys.stderr,
+        raise ValueError(
+            f"need --iters >= 1 and a positive finite --step-scale, "
+            f"got {args.iters} and {args.step_scale}"
         )
-        return 2
-    try:
-        doc = json.loads(Path(args.instance).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot parse instance file: {exc}", file=sys.stderr)
-        return 2
-    try:
-        inst = instance_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: invalid instance document: {exc}", file=sys.stderr)
-        return 2
+    inst = instance_from_json(_read_json(args.instance))
 
     resolved = {
         "command": "solve",
@@ -222,10 +175,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         report = run_daa(inst, max_iters=args.iters, step_scale=args.step_scale, trace=args.trace)
     except ValueError as exc:
-        print(
-            f"error: solver failed at --step-scale {args.step_scale!r}: {exc}", file=sys.stderr
-        )
-        return 2
+        raise ValueError(f"solver failed at --step-scale {args.step_scale!r}: {exc}") from exc
     solution = {
         "config_hash": chash,
         "assignment": list(report.assignment.ap_of_client),
@@ -244,10 +194,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         trace = "\n".join([f"# config_hash={chash}"] + trace_csv_lines(report)) + "\n"
         _write_text(out / f"trace_{chash}.csv", trace)
-    _write_manifest(
-        out,
-        RunManifest(str(args.instance), "solve", str(out), __version__, chash),
-    )
+    _write_manifest(out, "solve", str(args.instance), chash)
     print(
         f"solved: p_best={report.primal_value!r} g_best={report.dual_value!r} "
         f"gap={report.gap_certificate!r}"
@@ -256,29 +203,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _load_experiment_config(args: argparse.Namespace) -> tuple[ExperimentConfig, dict]:
-    doc = json.loads(Path(args.config).read_text())
+    doc = _read_json(args.config)
     try:
         cfg = parse_experiment_config(doc)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.exact:
             cfg = replace(cfg, with_exact=True, force_exact=True)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
     return cfg, asdict(cfg)
 
 
-def _jobs_ok(args: argparse.Namespace) -> bool:
+def _check_jobs(args: argparse.Namespace) -> None:
     if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-    return args.jobs >= 1
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if not _jobs_ok(args):
-        return 2
+    _check_jobs(args)
     cfg, resolved = _load_experiment_config(args)
     chash = config_hash({**resolved, "command": "experiment"})
     try:
@@ -295,9 +240,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         "exact_skipped": result.exact_skipped,
     }
     _write_text(out / f"experiment_{chash}.json", json.dumps(summary, indent=2) + "\n")
-    _write_manifest(
-        out, RunManifest(str(args.config), "experiment", str(out), __version__, chash)
-    )
+    _write_manifest(out, "experiment", str(args.config), chash)
     print(f"{'metric':<16} value")
     for key, value in result.aggregates.items():
         print(f"{key:<16} {_fmt(value)}")
@@ -306,16 +249,12 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if not _jobs_ok(args):
-        return 2
+    _check_jobs(args)
     try:
         values = [int(v) for v in args.values.split(",")]
-    except ValueError:
-        print(
-            f"error: --values must be comma-separated integers, got {args.values!r}",
-            file=sys.stderr,
-        )
-        return 2
+    except ValueError as exc:
+        message = f"--values must be comma-separated integers, got {args.values!r}"
+        raise ValueError(message) from exc
     cfg, resolved = _load_experiment_config(args)
     chash = config_hash(
         {**resolved, "command": "sweep", "vary": args.vary, "values": values}
@@ -328,7 +267,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         lines.append(",".join(_fmt(row.get(col)) for col in columns))
     _write_text(out / f"sweep_{chash}.csv", "\n".join(lines) + "\n")
-    _write_manifest(out, RunManifest(str(args.config), "sweep", str(out), __version__, chash))
+    _write_manifest(out, "sweep", str(args.config), chash)
     for row in rows:
         status = row["error"] or f"p_daa={_fmt(row.get('p_daa'))}"
         print(f"{args.vary}={row['value']}: {status}")
@@ -404,7 +343,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 out / f"failed_{name}_{chash}.json",
                 json.dumps(instance_to_json(inst), indent=2) + "\n",
             )
-    _write_manifest(out, RunManifest("", "verify", str(out), __version__, chash))
+    _write_manifest(out, "verify", "", chash)
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return 1 if failed else 0
 
@@ -455,11 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except ValueError as exc:  # bad input: a flag, or a document that cannot be read
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: cannot parse config: {exc}", file=sys.stderr)
         return 2
     except NodeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ the candidate-set tuples are views derived from the pairs.  Dicts keyed by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -32,9 +33,15 @@ __all__ = [
     "make_assignment",
     "instance_to_json",
     "instance_from_json",
+    "json_int",
+    "json_number",
+    "json_bool",
+    "json_list",
+    "json_object",
 ]
 
 _REL_TOL = 1e-12
+MAX_APS = 1 << 16  # n_aps ceiling of a JSON document, checked before any per-AP array exists
 
 
 class InfeasibleClientError(ValueError):
@@ -212,14 +219,11 @@ def _assemble(
     """Validate offered pairs (any order), prune beta > 1, sort client-major.
 
     Either `beta` or `rate` may be None; it is then synthesized as demand
-    over the other, so the stored triple stays self-consistent.
+    over the other, so the stored triple stays self-consistent.  Every
+    pair's demand, rate and beta must be finite and positive.
     """
     q = np.asarray(demands, dtype=float)
     n_clients = q.size
-    bad = np.flatnonzero(~(q > 0.0))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"demand of client {j} must be strictly positive, got {demands[j]!r}")
 
     def reject(bad: np.ndarray, message: str) -> None:
         if bad.any():
@@ -228,14 +232,18 @@ def _assemble(
 
     in_range = (ap >= 0) & (ap < n_aps) & (client >= 0) & (client < n_clients)
     reject(~in_range, "pair ({i}, {j}) out of range")
-    for name, values in (("rate", rate), ("beta", beta)):
-        if values is not None:
-            reject(~(values > 0.0), name + " of pair ({i}, {j}) must be strictly positive")
-    if beta is None:
-        beta = q[client] / rate
-    if rate is None:
-        rate = q[client] / beta
-    inconsistent = np.abs(beta - q[client] / rate) > _REL_TOL * np.abs(beta)
+    demand = q[client]
+    with np.errstate(all="ignore"):  # a bad input, or what it yields here, fails a check below
+        if beta is None:
+            beta = demand / rate
+        if rate is None:
+            rate = demand / beta
+        values = np.stack([demand, rate, beta])
+        reject(
+            ~((values > 0.0) & (values < np.inf)).all(axis=0),
+            "demand, rate and beta of pair ({i}, {j}) must be finite and positive",
+        )
+        inconsistent = np.abs(beta - demand / rate) > _REL_TOL * np.abs(beta)
     reject(inconsistent, "beta of pair ({i}, {j}) inconsistent with demand/rate")
     keep = beta <= 1.0  # beta > 1: demand exceeds the link rate, drop the pair
     empty = np.flatnonzero(np.bincount(client[keep], minlength=n_clients) == 0)
@@ -396,30 +404,70 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
-def instance_from_json(doc: Mapping) -> Instance:
+def _checked(ok: bool, value, name: str, what: str):
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r:.60}")
+    return value
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer: an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    ok = isinstance(value, int) and not isinstance(value, bool)
+    return _checked(ok, value, name, "an integer")
+
+
+def json_number(value, name: str) -> float:
+    """A finite JSON number (int or float, never a bool), as a float."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(_checked(ok and abs(value) <= sys.float_info.max, value, name, "a finite number"))
+
+
+def json_bool(value, name: str) -> bool:
+    return _checked(isinstance(value, bool), value, name, "true or false")
+
+
+def json_list(value, name: str) -> list:
+    return _checked(isinstance(value, list), value, name, "a JSON array")
+
+
+def json_object(value, name: str, *required: str) -> dict:
+    """A JSON object holding every `required` key."""
+    _checked(isinstance(value, dict), value, name, "a JSON object")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{name} missing field {key!r}")
+    return value
+
+
+def instance_from_json(doc) -> Instance:
     """Rebuild an instance from its JSON document, revalidating everything.
 
-    Link records may come in any order.
+    Every malformed value is a ValueError naming its key.  Link records may
+    come in any order.
     """
-    for key in ("n_aps", "n_clients", "demands", "links"):
-        if key not in doc:
-            raise ValueError(f"instance document missing field {key!r}")
+    doc = json_object(doc, "instance document", "n_aps", "n_clients", "demands", "links")
+    n_aps = json_int(doc["n_aps"], "n_aps")
+    if not 1 <= n_aps <= MAX_APS:
+        raise ValueError(f"n_aps must lie in [1, {MAX_APS}], got {n_aps}")
+    demands = [
+        json_number(q, f"demands[{j}]") for j, q in enumerate(json_list(doc["demands"], "demands"))
+    ]
+    if json_int(doc["n_clients"], "n_clients") != len(demands):
+        raise ValueError("n_clients does not match the demand list")
     seen: set[tuple[int, int]] = set()
     records = []
-    for rec in doc["links"]:
-        for key in ("i", "j", "beta", "rate"):
-            if key not in rec:
-                raise ValueError(f"link record missing field {key!r}: {rec!r}")
-        pair = (int(rec["i"]), int(rec["j"]))
-        if pair in seen:
-            raise ValueError(f"duplicate link record for pair {pair}")
-        seen.add(pair)
-        records.append((*pair, float(rec["beta"]), float(rec["rate"])))
+    for k, rec in enumerate(json_list(doc["links"], "links")):
+        name = f"links[{k}]"
+        rec = json_object(rec, name, "i", "j", "beta", "rate")
+        i, j = (json_int(rec[key], f"{name}.{key}") for key in ("i", "j"))
+        if not (0 <= i < n_aps and 0 <= j < len(demands)):
+            raise ValueError(f"pair ({i}, {j}) out of range")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate link record for pair {(i, j)}")
+        seen.add((i, j))
+        beta, rate = (json_number(rec[key], f"{name}.{key}") for key in ("beta", "rate"))
+        records.append((i, j, beta, rate))
     ap, client, beta, rate = np.array(records, dtype=float).reshape(-1, 4).T
-    demands = [float(q) for q in doc["demands"]]
-    inst = _assemble(
-        int(doc["n_aps"]), demands, ap.astype(np.int64), client.astype(np.int64), beta, rate
-    )
-    if inst.n_clients != int(doc["n_clients"]):
-        raise ValueError("n_clients does not match the demand list")
-    return inst
+    return _assemble(n_aps, demands, ap.astype(np.int64), client.astype(np.int64), beta, rate)

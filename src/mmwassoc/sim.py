@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("demand_max must be strictly positive")
         if not self.ap_spacing_factor > 0.0:
             raise ValueError("ap_spacing_factor must be strictly positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

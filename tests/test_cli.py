@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -425,3 +426,97 @@ def test_float_config_keys_accept_json_integers(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def one_error_line(err: str, name: str) -> bool:
+    return err.count("\n") == 1 and err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda doc: doc["links"][0].update(beta="0.5"), "links[0].beta"),
+        (lambda doc: doc["links"][0].update(i=0.5), "links[0].i"),
+        (lambda doc: doc.update(n_aps=True), "n_aps"),
+        (lambda doc: doc.update(n_aps=1e20), "n_aps"),
+        (lambda doc: doc.update(demands="11"), "demands"),
+        (lambda doc: doc.update(links={"i": 0, "j": 0, "beta": 0.5, "rate": 2.0}), "links"),
+    ],
+    ids=["beta-string", "i-float", "n_aps-bool", "n_aps-1e20", "demands-string", "links-object"],
+)
+def test_solve_rejects_mistyped_documents(tmp_path, capsys, edit, name):
+    doc = instance_to_json(example1_instance(2, 0.5))
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--iters", "5", "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys.readouterr().err, name)
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_null_document_names_the_json_type(tmp_path, capsys):
+    path = tmp_path / "null.json"
+    path.write_text("null")
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys.readouterr().err, "must be a JSON object, got None")
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"n_aps": "\xe9"}', b"[" * 100_000], ids=["latin-1", "deep-nesting"]
+)
+def test_solve_unreadable_document_names_the_file(tmp_path, capsys, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys.readouterr().err, str(path))
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+@pytest.mark.parametrize("kind", ["directory", "latin-1"])
+def test_unreadable_config_names_the_file(tmp_path, capsys, command, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"n_aps": 2, "n_clients": 4, "slots": 1, "é": 1}'.encode("latin-1"))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4"]
+    assert main(argv) == 2
+    assert one_error_line(capsys.readouterr().err, str(path))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_is_a_config_error(config_file, tmp_path, capsys, command, where):
+    argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out")]
+    if where == "config":
+        config_file.write_text(json.dumps({**json.loads(config_file.read_text()), "seed": -1}))
+    else:
+        argv += ["--seed", "-1"]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert one_error_line(capsys.readouterr().err, "seed")
+    assert not (tmp_path / "out").exists()
+
+
+def test_slots_csv_columns_are_the_slot_result_fields(config_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(config_file), "--out", str(out)]) == 0
+    lines = next(out.glob("experiment_*.csv")).read_text().splitlines()
+    assert lines[1].split(",") == [field.name for field in dataclasses.fields(sim.SlotResult)]
+    assert {line.split(",")[1] for line in lines[2:]} <= {"0", "1"}
+
+
+@pytest.mark.parametrize("content", ["[1]", "{not json"], ids=["array", "malformed"])
+def test_verify_rejects_unreadable_manifest(tmp_path, capsys, content):
+    out = tmp_path / "v"
+    out.mkdir()
+    manifest = out / "manifest_verify_deadbeef.json"
+    manifest.write_text(content)
+    assert main(["verify", "--out", str(out)]) == 2
+    assert one_error_line(capsys.readouterr().err, str(manifest))

@@ -1,9 +1,13 @@
 import json
+import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmwassoc import instance as instance_module
 from mmwassoc.instance import (
     InfeasibleClientError,
     build_instance,
@@ -229,3 +233,78 @@ def test_candidate_sets_sorted_and_consistent_after_pruning():
         for i, clients in enumerate(inst.clients_of_ap):
             for j in clients:
                 assert i in inst.candidates_of_client[j]
+
+
+def edited_chain_document(path, value):
+    """The two-client chain document with the value at `path` (keys and list
+    indices) replaced; the empty path replaces the whole document."""
+    doc = instance_to_json(example1_instance(2, 0.5))
+    if not path:
+        return value
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, name",
+    [
+        (("links", 0, "beta"), "0.5", "links[0].beta"),
+        (("links", 0, "i"), 0.5, "links[0].i"),
+        (("n_aps",), True, "n_aps"),
+        (("demands",), "11", "demands"),
+        (("demands", 1), None, "demands[1]"),
+        (("links",), {"i": 0, "j": 0, "beta": 0.5, "rate": 2.0}, "links"),
+        ((), None, "instance document"),
+        ((), [], "instance document"),
+    ],
+    ids=lambda param: param if isinstance(param, str) else None,
+)
+def test_json_rejects_wrong_value_types(path, value, name):
+    with pytest.raises(ValueError, match=re.escape(name) + " must be"):
+        instance_from_json(edited_chain_document(path, value))
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+def test_json_rejects_non_finite_numbers(value):
+    with pytest.raises(ValueError, match=re.escape("links[1].rate") + " must be a finite"):
+        instance_from_json(edited_chain_document(("links", 1, "rate"), value))
+
+
+def test_json_rejects_ap_count_above_the_ceiling(monkeypatch):
+    monkeypatch.setattr(instance_module, "MAX_APS", 4)
+    for n_aps in (5, 1e20, 0, -1):
+        with pytest.raises(ValueError, match="n_aps"):
+            instance_from_json(edited_chain_document(("n_aps",), n_aps))
+    assert instance_from_json(edited_chain_document(("n_aps",), 4)).n_aps == 4
+
+
+def test_json_rejects_huge_link_index_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="out of range"):
+            instance_from_json(edited_chain_document(("links", 0, "i"), 10**30))
+
+
+def test_assemble_requires_finite_positive_values():
+    topo = two_ap_topology()
+    rates = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0, (1, 2): 5.0}
+    rule = re.escape("demand, rate and beta of pair (0, 0) must be finite and positive")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rule):
+            build_instance(topo, [1.0, 1.0, 1.0], {**rates, (0, 0): math.inf})
+        with pytest.raises(ValueError, match=rule):
+            build_instance(topo, [math.nan, 1.0, 1.0], rates)
+        with pytest.raises(ValueError, match=rule):
+            instance_from_beta(1, 1, {(0, 0): 0.5}, demands=[math.inf])
+        with pytest.raises(ValueError, match=rule):
+            instance_from_beta(1, 1, {(0, 0): math.nan})
+        # 1e-300 / 1e300 underflows to a zero utilization
+        with pytest.raises(ValueError, match=rule):
+            build_instance(topo, [1e-300, 1.0, 1.0], {**rates, (0, 0): 1e300, (1, 0): 1e300})
