@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams
-from .dual_solver import duality_gap_bound, run_daa, trace_csv_lines
+from .channel import ChannelParams, InfeasibleRadiusError, cell_radius
+from .dual_solver import convergence_bound, duality_gap_bound, run_daa, trace_csv_lines
 from .exact import NodeBudgetExceeded, solve_lp_relaxation, solve_milp_exact
 from .instance import (
     Instance,
@@ -64,10 +64,57 @@ ACCEPTED_KEYS = (
     | set(EXPERIMENT_KEYS)
     | {"demand_max_bps", "noise_dbm_per_mhz", "interference_dbm_per_mhz"}
 )
+# with target_snr_db, the keys the cell radius and the deployment's width derive from
+DEPLOYMENT_KEYS = (
+    "wavelength_m",
+    "bandwidth_hz",
+    "ref_distance_m",
+    "path_loss_exp",
+    "tx_power_mw",
+    "noise_dbm_per_mhz",
+    "ap_spacing_factor",
+)
 
 
 def dbm_per_mhz_to_mw_per_hz(dbm_per_mhz: float) -> float:
     return 10.0 ** (dbm_per_mhz / 10.0) / 1e6
+
+
+def _density(key: str, dbm: float) -> float:
+    """The dBm/MHz value of config key `key` in mW/Hz; a ValueError naming
+    the key when the density overflows."""
+    try:
+        return dbm_per_mhz_to_mw_per_hz(dbm)
+    except OverflowError:
+        raise ValueError(f"{key}={dbm!r} overflows as a density in mW/Hz") from None
+
+
+def _check_deployment(cfg: ExperimentConfig, values: dict) -> None:
+    """Reject a config whose cell-edge SNR, edge rate B*log2(1 + snr), cell
+    radius or deployment width is not a positive finite number, naming the
+    keys it derives from."""
+    db = cfg.target_snr_db
+    try:
+        target = 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"target_snr_db={db!r} overflows as a linear SNR") from None
+    if not cfg.channel.bandwidth * math.log2(1.0 + target) > 0.0:
+        raise ValueError(f"target_snr_db={db!r} gives a cell-edge rate of 0 bit/s")
+    given = ", ".join(f"{key}={values[key]!r}" for key in DEPLOYMENT_KEYS if key in values)
+    given = f" (from {given})" if given else ""
+    try:
+        radius = cell_radius(cfg.channel, target)
+    except InfeasibleRadiusError as exc:
+        raise ValueError(f"target_snr_db={db!r} is out of reach: {exc}{given}") from exc
+    except OverflowError:
+        radius = math.inf
+    # the width of the box clients are drawn from (sim.generate_topology)
+    width = (cfg.n_aps - 1) * cfg.ap_spacing_factor * radius + 2.0 * radius
+    if not width < math.inf:
+        raise ValueError(
+            f"the deployment of cell radius {radius!r} m at target_snr_db={db!r} "
+            f"overflows{given}"
+        )
 
 
 def config_hash(resolved: dict) -> str:
@@ -94,16 +141,18 @@ def parse_experiment_config(doc) -> ExperimentConfig:
         "wavelength": 5e-3,
         "bandwidth": 1.2e9,
         **{attr: values[key] for key, attr in CHANNEL_KEYS.items() if key in values},
-        "noise_density": dbm_per_mhz_to_mw_per_hz(values.get("noise_dbm_per_mhz", -134.0)),
+        "noise_density": _density("noise_dbm_per_mhz", values.get("noise_dbm_per_mhz", -134.0)),
     }
     if "interference_dbm_per_mhz" in values:
-        channel_kwargs["interference_density"] = dbm_per_mhz_to_mw_per_hz(
-            values["interference_dbm_per_mhz"]
+        channel_kwargs["interference_density"] = _density(
+            "interference_dbm_per_mhz", values["interference_dbm_per_mhz"]
         )
     exp_kwargs = {key: values[key] for key in EXPERIMENT_KEYS if key in values}
     if "demand_max_bps" in values:
         exp_kwargs["demand_max"] = values["demand_max_bps"]
-    return ExperimentConfig(channel=ChannelParams(**channel_kwargs), **exp_kwargs)
+    cfg = ExperimentConfig(channel=ChannelParams(**channel_kwargs), **exp_kwargs)
+    _check_deployment(cfg, values)
+    return cfg
 
 
 def _read_json(path: str | Path):
@@ -195,9 +244,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         trace = "\n".join([f"# config_hash={chash}"] + trace_csv_lines(report)) + "\n"
         _write_text(out / f"trace_{chash}.csv", trace)
     _write_manifest(out, "solve", str(args.instance), chash)
+    try:
+        bound = convergence_bound(inst, args.step_scale, report.iterations_run)
+    except OverflowError:  # the step's square: an a-priori bound of +inf
+        bound = math.inf
     print(
         f"solved: p_best={report.primal_value!r} g_best={report.dual_value!r} "
-        f"gap={report.gap_certificate!r}"
+        f"gap={report.gap_certificate!r} bound={bound!r}"
     )
     return 0
 

@@ -256,7 +256,7 @@ def solve_milp_exact(
 
 def _two_phase_simplex(
     a_mat: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, float, list[int], int]:
+) -> tuple[np.ndarray, float, np.ndarray, int]:
     """min c@x s.t. a_mat@x = b (b >= 0), x >= 0, by the tableau method.
 
     Bland's rule on both the entering and leaving choice precludes cycling.
@@ -265,7 +265,7 @@ def _two_phase_simplex(
     m, n = a_mat.shape
     # phase 1: artificial identity basis, minimize the artificial sum
     tab = np.hstack([a_mat.astype(float), np.eye(m), b.reshape(-1, 1).astype(float)])
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
     pivots = _simplex_core(tab, basis, cost1)
     if cost1[basis] @ tab[:, -1] > 1e-7:
@@ -284,36 +284,52 @@ def _two_phase_simplex(
     cost2 = np.asarray(c, dtype=float)
     pivots += _simplex_core(tab, basis, cost2)
     x = np.zeros(n)
-    for row, col in enumerate(basis):
-        x[col] = tab[row, -1]
+    x[basis] = tab[:, -1]
     return x, float(cost2 @ x), basis, pivots
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    tab[row, :] /= tab[row, col]
-    other = np.arange(tab.shape[0]) != row
-    tab[other, :] -= np.outer(tab[other, col], tab[row, :])
+    """Scale the pivot row to a unit pivot, then eliminate `col` elsewhere.
+
+    One rank-1 update covers the whole tableau, and the scaled pivot row is
+    written back over what the update left in its row.  Every other entry
+    becomes `tab[r, k] - tab[r, col] * kept[k]`, the same two roundings as
+    an outer product over the other rows.  (Zeroing the pivot row's factor
+    instead would not keep the bits: -0.0 - (0.0 * -0.0) is +0.0.)
+    """
+    kept = tab[row] / tab[row, col]
+    tab -= tab[:, col, None] * kept
+    tab[row] = kept
 
 
-def _simplex_core(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> int:
-    """Iterate pivots until no reduced cost is below -tol.  Returns pivot count."""
+def _simplex_core(tab: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> int:
+    """Iterate pivots until no reduced cost is below -tol.  Returns pivot count.
+
+    The reduced costs are recomputed from the basis each pivot, with one
+    matrix-vector product whose summation order fixes their last bits.  The
+    ratio test runs on Python floats (IEEE double division, as in numpy) and
+    keeps the lexicographic minimum of (ratio, basis column): the smallest
+    ratio, ties to the smaller basis column (Bland).  Basis columns are
+    distinct, so the row never decides.
+    """
     n_cols = tab.shape[1] - 1
+    cost_n = cost[:n_cols]
     pivots = 0
     while True:
-        reduced = cost[:n_cols] - cost[basis] @ tab[:, :n_cols]
-        violating = np.flatnonzero(reduced < -_RC_TOL)
-        if violating.size == 0:
+        violating = cost_n - cost[basis] @ tab[:, :n_cols] < -_RC_TOL
+        entering = int(violating.argmax())  # Bland: smallest violating index
+        if not violating[entering]:
             return pivots
-        entering = int(violating[0])  # Bland: smallest violating index
-        column = tab[:, entering]
-        ratios = [
-            (tab[r, -1] / column[r], basis[r], r)
-            for r in range(tab.shape[0])
-            if column[r] > _PIV_TOL
-        ]
-        if not ratios:
+        rhs, column = tab[:, -1].tolist(), tab[:, entering].tolist()
+        leave_row, min_ratio, min_col = -1, math.inf, -1
+        for r, col in enumerate(basis.tolist()):
+            a = column[r]
+            if a > _PIV_TOL:
+                ratio = rhs[r] / a
+                if leave_row < 0 or ratio < min_ratio or (ratio == min_ratio and col < min_col):
+                    leave_row, min_ratio, min_col = r, ratio, col
+        if leave_row < 0:
             raise RuntimeError("LP unbounded")  # cannot happen for this model
-        _, _, leave_row = min(ratios)
         _pivot(tab, leave_row, entering)
         basis[leave_row] = entering
         pivots += 1

@@ -7,7 +7,9 @@ geometry/projection checks are closed-form or first-principles.  The
 pruning, per-AP loads, client subproblem and certificates, kept as
 references for the library's pair-array forms, plus the segmented-numpy
 form of the dual iteration and the numpy simplex projection, kept as
-bitwise references for the solver's padded-table loop.
+bitwise references for the solver's padded-table loop, and the masked
+outer-product tableau simplex, kept as the bitwise reference for the LP
+relaxation's pivots.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmwassoc.dual_solver import SolveReport
+from mmwassoc.exact import ExactResult, _lp_matrix
 from mmwassoc.instance import Assignment, InfeasibleClientError, Instance, instance_from_beta
 
 _REL_TOL = 1e-12
@@ -344,4 +347,81 @@ def ref_run_daa(
         gap_certificate=max(0.0, best_primal - best_dual),
         per_iteration_trace=trace_rows,
         price_trace=price_rows,
+    )
+
+
+_REF_RC_TOL = 1e-9  # reduced-cost tolerance
+_REF_PIV_TOL = 1e-10
+
+
+def ref_pivot(tab: np.ndarray, row: int, col: int) -> None:
+    tab[row, :] /= tab[row, col]
+    other = np.arange(tab.shape[0]) != row
+    tab[other, :] -= np.outer(tab[other, col], tab[row, :])
+
+
+def _ref_simplex_core(tab: np.ndarray, basis: list[int], cost: np.ndarray) -> int:
+    n_cols = tab.shape[1] - 1
+    pivots = 0
+    while True:
+        reduced = cost[:n_cols] - cost[basis] @ tab[:, :n_cols]
+        violating = np.flatnonzero(reduced < -_REF_RC_TOL)
+        if violating.size == 0:
+            return pivots
+        entering = int(violating[0])  # Bland: smallest violating index
+        column = tab[:, entering]
+        ratios = [
+            (tab[r, -1] / column[r], basis[r], r)
+            for r in range(tab.shape[0])
+            if column[r] > _REF_PIV_TOL
+        ]
+        if not ratios:
+            raise RuntimeError("LP unbounded")
+        _, _, leave_row = min(ratios)
+        ref_pivot(tab, leave_row, entering)
+        basis[leave_row] = entering
+        pivots += 1
+
+
+def ref_two_phase_simplex(
+    a_mat: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, float, list[int], int]:
+    """min c@x s.t. a_mat@x = b (b >= 0), x >= 0: two-phase tableau simplex
+    with Bland's rule, a masked outer-product row update and a ratio test on
+    numpy scalars.  Returns (x, objective, basis column per row, pivots)."""
+    m, n = a_mat.shape
+    tab = np.hstack([a_mat.astype(float), np.eye(m), b.reshape(-1, 1).astype(float)])
+    basis = list(range(n, n + m))
+    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
+    pivots = _ref_simplex_core(tab, basis, cost1)
+    if cost1[basis] @ tab[:, -1] > 1e-7:
+        raise RuntimeError("LP infeasible (artificials remain positive)")
+    for row, col in enumerate(basis):
+        if col >= n:
+            pivot_col = next(
+                (jj for jj in range(n) if abs(tab[row, jj]) > _REF_PIV_TOL), None
+            )
+            if pivot_col is None:
+                raise RuntimeError("redundant row left an artificial in the basis")
+            ref_pivot(tab, row, pivot_col)
+            basis[row] = pivot_col
+    tab = np.hstack([tab[:, :n], tab[:, -1:]])
+    cost2 = np.asarray(c, dtype=float)
+    pivots += _ref_simplex_core(tab, basis, cost2)
+    x = np.zeros(n)
+    for row, col in enumerate(basis):
+        x[col] = tab[row, -1]
+    return x, float(cost2 @ x), basis, pivots
+
+
+def ref_solve_lp_relaxation(inst: Instance) -> ExactResult:
+    """The LP relaxation of the library's standard form, by
+    `ref_two_phase_simplex`, with the row duals of the final basis."""
+    a_mat, b, c = _lp_matrix(inst)
+    x, obj, basis, pivots = ref_two_phase_simplex(a_mat, b, c)
+    keys = zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist())
+    fractional = dict(zip(keys, x[1 : 1 + inst.beta.size].tolist()))
+    duals = np.linalg.solve(a_mat[:, basis].T, c[basis])
+    return ExactResult(
+        optimal_value=obj, fractional=fractional, nodes_explored=pivots, duals=duals
     )

@@ -6,6 +6,7 @@ import pytest
 
 from mmwassoc import sim
 from mmwassoc.cli import main
+from mmwassoc.dual_solver import convergence_bound
 from mmwassoc.instance import example1_instance, instance_to_json
 
 FIXTURE = Path(__file__).parent / "fixtures" / "chain_three_cells.json"
@@ -520,3 +521,69 @@ def test_verify_rejects_unreadable_manifest(tmp_path, capsys, content):
     manifest.write_text(content)
     assert main(["verify", "--out", str(out)]) == 2
     assert one_error_line(capsys.readouterr().err, str(manifest))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("noise_dbm_per_mhz", 4000),
+        ("interference_dbm_per_mhz", 4000),
+        ("target_snr_db", 1e300),
+        ("wavelength_m", 1e300),
+        ("tx_power_mw", 1e308),
+        ("target_snr_db", -400),
+        ("target_snr_db", -1e300),
+        ("target_snr_db", 200),
+    ],
+)
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_config_values_out_of_physical_range_exit_2(tmp_path, capsys, command, key, value):
+    # a finite value whose derived density, SNR, cell radius or edge rate is
+    # not a positive finite number is a config error naming the key; so is a
+    # target above the default link budget's plateau (about 25.2 dB), which
+    # no radius attains
+    doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: invalid config: ")
+    assert one_error_line(message, key) and "Traceback" not in message
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_prints_the_convergence_bound_next_to_the_gap(chain_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["solve", str(chain_file), "--iters", "200", "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    doc = json.loads(next(out.glob("solve_*.json")).read_text())
+    bound = convergence_bound(example1_instance(3, 0.5), 1.0, 200)
+    assert line == (
+        f"solved: p_best={doc['p_best']!r} g_best={doc['g_best']!r} "
+        f"gap={doc['gap_certificate']!r} bound={bound!r}"
+    )
+    assert "bound" not in doc
+
+
+def test_solve_reports_an_overflowing_convergence_bound_as_inf(tmp_path, capsys):
+    # utilizations of 1e-200 keep the prices projectable at step 1e200, whose
+    # square overflows in the bound's numerator
+    doc = {
+        "n_aps": 2,
+        "n_clients": 1,
+        "demands": [1e-200],
+        "links": [
+            {"i": 0, "j": 0, "rate": 1.0, "beta": 1e-200},
+            {"i": 1, "j": 0, "rate": 2.0, "beta": 5e-201},
+        ],
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", str(path), "--step-scale", "1e200", "--iters", "10"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.rstrip().endswith(" bound=inf")

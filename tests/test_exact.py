@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from mmwassoc import sim
+from mmwassoc.cli import parse_experiment_config
 from mmwassoc.dual_solver import dual_value, run_daa
 from mmwassoc.exact import (
     NodeBudgetExceeded,
     _greedy_incumbent,
+    _pivot,
     branch_and_bound,
     enumerate_assignments,
     lp_cs_residual,
@@ -15,7 +20,14 @@ from mmwassoc.exact import (
     solve_milp_exact,
 )
 from mmwassoc.instance import example1_instance, example2_instance, instance_from_beta
-from oracles import beta_dict, brute_force, random_full_instance, random_subset_instance
+from oracles import (
+    beta_dict,
+    brute_force,
+    random_full_instance,
+    random_subset_instance,
+    ref_pivot,
+    ref_solve_lp_relaxation,
+)
 
 
 def scipy_lp_value(inst):
@@ -272,3 +284,85 @@ def test_dual_value_anywhere_is_lp_lower_bound():
     for _ in range(50):
         prices = rng.dirichlet(np.ones(inst.n_aps))
         assert dual_value(inst, prices) <= p_relax + 1e-8
+
+
+def assert_same_lp(inst):
+    """`solve_lp_relaxation` equals the reference simplex bit for bit and
+    certifies itself by complementary slackness."""
+    new, ref = solve_lp_relaxation(inst), ref_solve_lp_relaxation(inst)
+    assert repr(new.optimal_value) == repr(ref.optimal_value)
+    assert repr(new.fractional) == repr(ref.fractional)
+    assert new.duals.dtype == ref.duals.dtype and new.duals.tobytes() == ref.duals.tobytes()
+    assert new.nodes_explored == ref.nodes_explored
+    assert lp_cs_residual(inst, new) <= 1e-8
+
+
+def test_pivot_matches_reference_bitwise_with_signed_zeros():
+    # -0.0 entries in the pivot row are where skipping that row and zeroing
+    # its factor part ways: 0.0 * -0.0 is -0.0, and -0.0 - -0.0 is +0.0
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        tab = rng.uniform(-2.0, 2.0, size=(5, 8))
+        tab[rng.uniform(size=tab.shape) < 0.3] = 0.0
+        tab[rng.uniform(size=tab.shape) < 0.3] = -0.0
+        row, col = int(rng.integers(5)), int(rng.integers(8))
+        tab[row, col] = rng.choice([-1.5, 0.75, 1.0])
+        new, ref = tab.copy(), tab.copy()
+        _pivot(new, row, col)
+        ref_pivot(ref, row, col)
+        assert new.tobytes() == ref.tobytes()
+
+
+@st.composite
+def lp_instances(draw):
+    """Instances with N in 1..8 and M in 0..30; a client may be pinned to one
+    AP.  Half of them draw every utilization from {0.1, 0.2, 0.25, 0.5},
+    whose ties make degenerate pivots and ratio-test ties common."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 30))
+    if draw(st.booleans()):
+        utilization = st.sampled_from([0.1, 0.2, 0.25, 0.5])
+    else:
+        utilization = st.floats(min_value=1e-3, max_value=1.0)
+    beta = {}
+    for j in range(m):
+        aps = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        for i in aps:
+            beta[(i, j)] = draw(utilization)
+    return instance_from_beta(n, m, beta)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lp_instances())
+def test_lp_matches_reference_simplex_bitwise(inst):
+    assert_same_lp(inst)
+
+
+# the mc_exact benchmark workload: N=3 co-located APs, M=12, oracles forced
+MC_EXACT = {
+    "n_aps": 3,
+    "n_clients": 12,
+    "slots": 4,
+    "daa_iters": 200,
+    "step_scale": 1.0,
+    "seed": 0,
+    "ap_spacing_factor": 0.01,
+    "demand_max_bps": 400e6,
+    "with_exact": True,
+    "force_exact": True,
+}
+
+
+def test_lp_matches_reference_simplex_on_mc_exact_slots(monkeypatch):
+    solved = []
+
+    def recording_lp(inst):
+        solved.append(inst)
+        return solve_lp_relaxation(inst)
+
+    monkeypatch.setattr(sim, "solve_lp_relaxation", recording_lp)
+    cfg = parse_experiment_config(MC_EXACT)
+    sim.run_experiment(replace(cfg, slots=40))
+    assert len(solved) > 20
+    for inst in solved:
+        assert_same_lp(inst)
