@@ -1,8 +1,9 @@
 """60 GHz link budget: directional Friis gain, Shannon rate, SNR-vs-distance.
 
 All quantities are linear and SI internally (meters, hertz, milliwatts for
-powers so the usual 60 GHz constants can be used verbatim).  dB / dBm
-conversions belong to config parsing, not here.
+powers so the usual 60 GHz constants can be used verbatim).  Spectral
+densities are quoted in dBm/MHz; `dbm_per_mhz_to_mw_per_hz` is their one
+conversion, shared by the default link budget and config parsing.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "LinkRealization",
     "InfeasibleRadiusError",
     "default_params",
+    "dbm_per_mhz_to_mw_per_hz",
     "compute_gain",
     "compute_rate",
     "snr_at_distance",
@@ -26,7 +28,7 @@ _SIXTEEN_PI_SQ = 16.0 * math.pi**2
 
 
 class InfeasibleRadiusError(ValueError):
-    """Requested cell-edge SNR is not reachable beyond the reference distance."""
+    """No usable cell for the requested cell-edge SNR: out of reach, or overflowing."""
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,17 @@ class LinkRealization:
             raise ValueError("fading, gain and rate must be strictly positive")
 
 
+def dbm_per_mhz_to_mw_per_hz(dbm_per_mhz: float) -> float:
+    return 10.0 ** (dbm_per_mhz / 10.0) / 1e6
+
+
 def default_params(path_loss_exp: float = 2.0) -> ChannelParams:
     """Standard 60 GHz operating point: 5 mm carrier, -134 dBm/MHz noise,
-    1200 MHz bandwidth, 1 m reference distance, 0.1 mW, unit antenna gains."""
+    1200 MHz bandwidth, 1 m reference distance, 0.1 mW, unit antenna gains;
+    every config starts from it."""
     return ChannelParams(
         wavelength=5e-3,
-        noise_density=10.0 ** (-19.4),  # -134 dBm/MHz in mW/Hz
+        noise_density=dbm_per_mhz_to_mw_per_hz(-134.0),
         bandwidth=1.2e9,
         ref_distance=1.0,
         path_loss_exp=path_loss_exp,

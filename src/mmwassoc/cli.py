@@ -1,7 +1,8 @@
 """Command-line front end: solve instances, run experiments/sweeps, verify.
 
-Configs are flat JSON with units spelled out in the key names; dB/dBm values
-are converted to linear quantities here and nowhere else.  Output files are
+Configs are flat JSON with units spelled out in the key names; one table maps
+each key to the config or channel field it sets and to the reader of its
+value, and absent keys keep the defaults of the Python API.  Output files are
 named from the command and a hash of the resolved config, and every file
 embeds that hash, so a results directory is self-describing and re-runs are
 byte-identical.
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import ChannelParams, InfeasibleRadiusError, cell_radius
+from .channel import InfeasibleRadiusError, dbm_per_mhz_to_mw_per_hz, default_params
 from .dual_solver import convergence_bound, duality_gap_bound, run_daa, trace_csv_lines
 from .exact import NodeBudgetExceeded, solve_lp_relaxation, solve_milp_exact
 from .instance import (
@@ -37,84 +38,46 @@ from .instance import (
 )
 from .sim import SWEEPABLE, ExperimentConfig, GeometryError, SlotResult, run_experiment, sweep
 
-CHANNEL_KEYS = {
-    "wavelength_m": "wavelength",
-    "bandwidth_hz": "bandwidth",
-    "ref_distance_m": "ref_distance",
-    "path_loss_exp": "path_loss_exp",
-    "tx_power_mw": "tx_power",
-    "tx_gain": "tx_gain",
-    "rx_gain": "rx_gain",
-}
-EXPERIMENT_KEYS = {
-    "n_aps": json_int,
-    "n_clients": json_int,
-    "slots": json_int,
-    "daa_iters": json_int,
-    "step_scale": json_number,
-    "seed": json_int,
-    "target_snr_db": json_number,
-    "ap_spacing_factor": json_number,
-    "with_exact": json_bool,
-    "force_exact": json_bool,
-    "exact_limit": json_number,
-}
-ACCEPTED_KEYS = (
-    set(CHANNEL_KEYS)
-    | set(EXPERIMENT_KEYS)
-    | {"demand_max_bps", "noise_dbm_per_mhz", "interference_dbm_per_mhz"}
-)
-# with target_snr_db, the keys the cell radius and the deployment's width derive from
-DEPLOYMENT_KEYS = (
-    "wavelength_m",
-    "bandwidth_hz",
-    "ref_distance_m",
-    "path_loss_exp",
-    "tx_power_mw",
-    "noise_dbm_per_mhz",
-    "ap_spacing_factor",
-)
+
+def _exact_limit(value, key: str) -> float:
+    """A finite number, or JSON Infinity for no size limit."""
+    return value if value == math.inf else json_number(value, key)
 
 
-def dbm_per_mhz_to_mw_per_hz(dbm_per_mhz: float) -> float:
-    return 10.0 ** (dbm_per_mhz / 10.0) / 1e6
-
-
-def _density(key: str, dbm: float) -> float:
-    """The dBm/MHz value of config key `key` in mW/Hz; a ValueError naming
-    the key when the density overflows."""
+def _density(value, key: str) -> float:
+    """A dBm/MHz value in mW/Hz; a ValueError naming the key when it overflows."""
+    dbm = json_number(value, key)
     try:
         return dbm_per_mhz_to_mw_per_hz(dbm)
     except OverflowError:
         raise ValueError(f"{key}={dbm!r} overflows as a density in mW/Hz") from None
 
 
-def _check_deployment(cfg: ExperimentConfig, values: dict) -> None:
-    """Reject a config whose cell-edge SNR, edge rate B*log2(1 + snr), cell
-    radius or deployment width is not a positive finite number, naming the
-    keys it derives from."""
-    db = cfg.target_snr_db
-    try:
-        target = 10.0 ** (db / 10.0)
-    except OverflowError:
-        raise ValueError(f"target_snr_db={db!r} overflows as a linear SNR") from None
-    if not cfg.channel.bandwidth * math.log2(1.0 + target) > 0.0:
-        raise ValueError(f"target_snr_db={db!r} gives a cell-edge rate of 0 bit/s")
-    given = ", ".join(f"{key}={values[key]!r}" for key in DEPLOYMENT_KEYS if key in values)
-    given = f" (from {given})" if given else ""
-    try:
-        radius = cell_radius(cfg.channel, target)
-    except InfeasibleRadiusError as exc:
-        raise ValueError(f"target_snr_db={db!r} is out of reach: {exc}{given}") from exc
-    except OverflowError:
-        radius = math.inf
-    # the width of the box clients are drawn from (sim.generate_topology)
-    width = (cfg.n_aps - 1) * cfg.ap_spacing_factor * radius + 2.0 * radius
-    if not width < math.inf:
-        raise ValueError(
-            f"the deployment of cell radius {radius!r} m at target_snr_db={db!r} "
-            f"overflows{given}"
-        )
+# document key -> (field, reader): a field of ExperimentConfig, or of its
+# ChannelParams after "channel."; the reader takes the JSON value and the key
+CONFIG_KEYS = {
+    "n_aps": ("n_aps", json_int),
+    "n_clients": ("n_clients", json_int),
+    "slots": ("slots", json_int),
+    "daa_iters": ("daa_iters", json_int),
+    "step_scale": ("step_scale", json_number),
+    "seed": ("seed", json_int),
+    "target_snr_db": ("target_snr_db", json_number),
+    "ap_spacing_factor": ("ap_spacing_factor", json_number),
+    "demand_max_bps": ("demand_max", json_number),
+    "with_exact": ("with_exact", json_bool),
+    "force_exact": ("force_exact", json_bool),
+    "exact_limit": ("exact_limit", _exact_limit),
+    "wavelength_m": ("channel.wavelength", json_number),
+    "bandwidth_hz": ("channel.bandwidth", json_number),
+    "ref_distance_m": ("channel.ref_distance", json_number),
+    "path_loss_exp": ("channel.path_loss_exp", json_number),
+    "tx_power_mw": ("channel.tx_power", json_number),
+    "tx_gain": ("channel.tx_gain", json_number),
+    "rx_gain": ("channel.rx_gain", json_number),
+    "noise_dbm_per_mhz": ("channel.noise_density", _density),
+    "interference_dbm_per_mhz": ("channel.interference_density", _density),
+}
 
 
 def config_hash(resolved: dict) -> str:
@@ -124,35 +87,26 @@ def config_hash(resolved: dict) -> str:
 
 def parse_experiment_config(doc) -> ExperimentConfig:
     doc = json_object(doc, "config", "n_aps", "n_clients", "slots")
-    unknown = sorted(set(doc) - ACCEPTED_KEYS)
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
         print(
             f"warning: ignoring unknown config keys {unknown}; "
-            f"accepted keys are {sorted(ACCEPTED_KEYS)}",
+            f"accepted keys are {sorted(CONFIG_KEYS)}",
             file=sys.stderr,
         )
-    values = {}
+    config, channel, link_budget = {}, {}, []
     for key, value in doc.items():
-        if key == "exact_limit" and value == math.inf:  # JSON Infinity: no size limit
-            values[key] = value
-        elif key in ACCEPTED_KEYS:
-            values[key] = EXPERIMENT_KEYS.get(key, json_number)(value, key)
-    channel_kwargs = {
-        "wavelength": 5e-3,
-        "bandwidth": 1.2e9,
-        **{attr: values[key] for key, attr in CHANNEL_KEYS.items() if key in values},
-        "noise_density": _density("noise_dbm_per_mhz", values.get("noise_dbm_per_mhz", -134.0)),
-    }
-    if "interference_dbm_per_mhz" in values:
-        channel_kwargs["interference_density"] = _density(
-            "interference_dbm_per_mhz", values["interference_dbm_per_mhz"]
-        )
-    exp_kwargs = {key: values[key] for key in EXPERIMENT_KEYS if key in values}
-    if "demand_max_bps" in values:
-        exp_kwargs["demand_max"] = values["demand_max_bps"]
-    cfg = ExperimentConfig(channel=ChannelParams(**channel_kwargs), **exp_kwargs)
-    _check_deployment(cfg, values)
-    return cfg
+        if key in CONFIG_KEYS:
+            field, read = CONFIG_KEYS[key]
+            owner, _, name = field.rpartition(".")
+            (channel if owner else config)[name] = read(value, key)
+            if owner:
+                link_budget.append(f"{key}={value!r}")
+    try:
+        return ExperimentConfig(channel=replace(default_params(), **channel), **config)
+    except InfeasibleRadiusError as exc:  # the cell derives from the link budget: name its keys
+        given = f" (from {', '.join(link_budget)})" if link_budget else ""
+        raise ValueError(f"{exc}{given}") from exc
 
 
 def _read_json(path: str | Path):
@@ -382,6 +336,8 @@ def _verify_checks(seed: int) -> list[tuple[str, bool, str, Instance | None]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     out = Path(args.out)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     chash = config_hash({"command": "verify", "seed": seed, "tool": __version__})
     if out.exists():
         _check_stale(out, "verify", chash)

@@ -220,7 +220,8 @@ def _assemble(
 
     Either `beta` or `rate` may be None; it is then synthesized as demand
     over the other, so the stored triple stays self-consistent.  Every
-    pair's demand, rate and beta must be finite and positive.
+    pair's demand, rate and beta must be finite and positive, but a rate of
+    0 given without a beta is pruned like a beta > 1.
     """
     q = np.asarray(demands, dtype=float)
     n_clients = q.size
@@ -233,25 +234,29 @@ def _assemble(
     in_range = (ap >= 0) & (ap < n_aps) & (client >= 0) & (client < n_clients)
     reject(~in_range, "pair ({i}, {j}) out of range")
     demand = q[client]
+    zero_rate = np.zeros(client.size, dtype=bool)
     with np.errstate(all="ignore"):  # a bad input, or what it yields here, fails a check below
         if beta is None:
+            zero_rate = rate == 0.0
             beta = demand / rate
         if rate is None:
             rate = demand / beta
         values = np.stack([demand, rate, beta])
+        ok = (values > 0.0) & (values < np.inf)
         reject(
-            ~((values > 0.0) & (values < np.inf)).all(axis=0),
+            ~(ok[0] & ((ok[1] & ok[2]) | zero_rate)),
             "demand, rate and beta of pair ({i}, {j}) must be finite and positive",
         )
         inconsistent = np.abs(beta - demand / rate) > _REL_TOL * np.abs(beta)
     reject(inconsistent, "beta of pair ({i}, {j}) inconsistent with demand/rate")
-    keep = beta <= 1.0  # beta > 1: demand exceeds the link rate, drop the pair
+    keep = (beta <= 1.0) & ~zero_rate  # beta > 1 or rate 0: the link cannot carry the demand
     empty = np.flatnonzero(np.bincount(client[keep], minlength=n_clients) == 0)
     if empty.size:
         j = int(empty[0])
-        if np.any(client == j):
-            raise InfeasibleClientError(j, "all candidate links pruned (utilization > 1)")
-        raise InfeasibleClientError(j, "no candidate links")
+        if not np.any(client == j):
+            raise InfeasibleClientError(j, "no candidate links")
+        why = "rate 0 or utilization > 1" if zero_rate[client == j].any() else "utilization > 1"
+        raise InfeasibleClientError(j, f"all candidate links pruned ({why})")
     kept = np.flatnonzero(keep)
     kept = kept[np.lexsort((ap[kept], client[kept]))]
     return Instance(
@@ -273,8 +278,8 @@ def build_instance(
 
     `link_rates` holds one rate per topology pair, aligned with `topo.pairs`,
     or is a mapping keyed by exactly the topology's (ap, client) pairs.
-    Pairs with beta > 1 are removed; a client whose whole candidate set is
-    pruned raises InfeasibleClientError.
+    Pairs with beta > 1 or a rate of 0 are removed; a client whose whole
+    candidate set is pruned raises InfeasibleClientError.
     """
     pairs = topo.pairs
     if isinstance(link_rates, Mapping):

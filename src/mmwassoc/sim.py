@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, cell_radius, compute_gain, compute_rate, default_params
+from .channel import ChannelParams, InfeasibleRadiusError, cell_radius, compute_gain, compute_rate
+from .channel import default_params
 from .dual_solver import duality_gap_bound, run_daa
 from .exact import solve_lp_relaxation, solve_milp_exact
 from .instance import InfeasibleClientError, Topology, build_instance, topology_from_positions
@@ -55,7 +56,9 @@ def _stream(seed: int, purpose: int, slot: int | None = None) -> np.random.Gener
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo experiment (all rates in bit/s, distances in meters)."""
+    """One Monte Carlo experiment (all rates in bit/s, distances in meters).
+
+    A cell it cannot deploy raises InfeasibleRadiusError, a ValueError."""
 
     n_aps: int
     n_clients: int
@@ -84,6 +87,34 @@ class ExperimentConfig:
             raise ValueError("ap_spacing_factor must be strictly positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        db = self.target_snr_db
+        try:
+            radius = self.radius
+        except InfeasibleRadiusError as exc:
+            raise InfeasibleRadiusError(f"target_snr_db={db!r} is out of reach: {exc}") from exc
+        except OverflowError:  # the linear target or the plateau SNR
+            radius = math.inf
+        # the width of the box generate_topology draws clients from
+        if not (self.n_aps - 1) * (self.ap_spacing_factor * radius) + radius + radius < math.inf:
+            raise InfeasibleRadiusError(
+                f"the deployment of {self.n_aps} cells of radius {radius!r} m at "
+                f"target_snr_db={db!r} and ap_spacing_factor={self.ap_spacing_factor!r} overflows"
+            )
+        # no link is longer than the radius, so a finite path loss there keeps
+        # every gain positive; a faded link whose rate rounds to 0 is pruned
+        try:
+            gain = compute_gain(self.channel, radius, 1.0)
+        except OverflowError:  # (r/d0)^eta
+            gain = 0.0
+        if not (gain > 0.0 and compute_rate(self.channel, gain) > 0.0):
+            raise InfeasibleRadiusError(
+                f"a link at the cell radius {radius!r} m and target_snr_db={db!r} has a rate of 0"
+            )
+
+    @property
+    def radius(self) -> float:
+        """Cell radius in meters: where the SNR falls to the cell-edge target."""
+        return cell_radius(self.channel, 10.0 ** (self.target_snr_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -119,11 +150,11 @@ class ExperimentResult:
 def generate_topology(cfg: ExperimentConfig, seed: int | None = None) -> Topology:
     """Linear cell deployment with clients uniform over the union of disks.
 
-    The radius comes from the cell-edge SNR target; APs sit on a line with
-    spacing ap_spacing_factor * radius; clients are rejection-sampled from
-    the bounding box until they land inside some disk.
+    The radius is the config's; APs sit on a line with spacing
+    ap_spacing_factor * radius; clients are rejection-sampled from the
+    bounding box until they land inside some disk.
     """
-    radius = cell_radius(cfg.channel, 10.0 ** (cfg.target_snr_db / 10.0))
+    radius = cfg.radius
     spacing = cfg.ap_spacing_factor * radius
     ap_positions = np.column_stack(
         [np.arange(cfg.n_aps) * spacing, np.zeros(cfg.n_aps)]

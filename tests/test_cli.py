@@ -534,6 +534,7 @@ def test_verify_rejects_unreadable_manifest(tmp_path, capsys, content):
         ("target_snr_db", -400),
         ("target_snr_db", -1e300),
         ("target_snr_db", 200),
+        ("wavelength_m", 1e150),
     ],
 )
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
@@ -587,3 +588,20 @@ def test_solve_reports_an_overflowing_convergence_bound_as_inf(tmp_path, capsys)
     argv = ["solve", str(path), "--step-scale", "1e200", "--iters", "10"]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.rstrip().endswith(" bound=inf")
+
+
+def test_zero_rate_links_are_pruned_not_fatal(tmp_path, capsys):
+    # at -150 dB the rate B*log2(1 + snr*fading) of a faded link underflows to 0
+    doc = {"n_aps": 2, "n_clients": 6, "slots": 3, "daa_iters": 20, "target_snr_db": -150}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(list(out.glob("experiment_*.csv"))) == 1
+
+
+def test_verify_negative_seed_names_the_flag(tmp_path, capsys):
+    assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+    assert one_error_line(capsys.readouterr().err, "--seed")
+    assert not (tmp_path / "out").exists()

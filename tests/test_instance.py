@@ -308,3 +308,23 @@ def test_assemble_requires_finite_positive_values():
         # 1e-300 / 1e300 underflows to a zero utilization
         with pytest.raises(ValueError, match=rule):
             build_instance(topo, [1e-300, 1.0, 1.0], {**rates, (0, 0): 1e300, (1, 0): 1e300})
+
+
+def test_build_prunes_zero_rate_pairs_like_overloaded_ones():
+    topo = two_ap_topology()
+    rates = {(0, 0): 2.0, (1, 0): 0.0, (0, 1): 5.0, (1, 2): 5.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
+        assert (1, 0) not in beta_dict(inst)
+        assert inst.candidates_of_client == ((0,), (0,), (1,))
+        with pytest.raises(InfeasibleClientError, match="pruned") as err:
+            build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates={**rates, (0, 0): 0.0})
+        assert err.value.client == 0
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates={**rates, (0, 0): -1.0})
+
+
+def test_json_rejects_a_zero_rate():
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        instance_from_json(edited_chain_document(("links", 1, "rate"), 0.0))
