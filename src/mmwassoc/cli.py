@@ -94,19 +94,24 @@ def parse_experiment_config(doc) -> ExperimentConfig:
             f"accepted keys are {sorted(CONFIG_KEYS)}",
             file=sys.stderr,
         )
-    config, channel, link_budget = {}, {}, []
+    config, channel, link_budget = {}, {}, {}  # link_budget: channel field -> "key=value"
     for key, value in doc.items():
         if key in CONFIG_KEYS:
             field, read = CONFIG_KEYS[key]
             owner, _, name = field.rpartition(".")
             (channel if owner else config)[name] = read(value, key)
             if owner:
-                link_budget.append(f"{key}={value!r}")
+                link_budget[name] = f"{key}={value!r}"
     try:
         return ExperimentConfig(channel=replace(default_params(), **channel), **config)
     except InfeasibleRadiusError as exc:  # the cell derives from the link budget: name its keys
-        given = f" (from {', '.join(link_budget)})" if link_budget else ""
+        given = f" (from {', '.join(link_budget.values())})" if link_budget else ""
         raise ValueError(f"{exc}{given}") from exc
+    except ValueError as exc:  # a channel error starts with its field: name the key
+        field = str(exc).partition(" ")[0]
+        if field not in link_budget:
+            raise
+        raise ValueError(f"{exc} (from {link_budget[field]})") from exc
 
 
 def _read_json(path: str | Path):

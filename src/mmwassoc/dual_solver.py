@@ -92,7 +92,8 @@ def client_subproblem(inst: Instance, prices: np.ndarray, j: int) -> int:
 
 def dual_value(inst: Instance, prices: np.ndarray) -> float:
     """Dual objective at the given simplex prices: sum of per-client minima."""
-    return _Sweep(inst)(_checked_prices(inst, prices))
+    weighted = inst.beta * _checked_prices(inst, prices)[inst.pairs.ap]
+    return float(np.add.reduce(weighted[inst.pairs.first_argmin(weighted)]))
 
 
 def _checked_prices(inst: Instance, prices) -> np.ndarray:
@@ -121,19 +122,19 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("expected a nonempty 1-D vector")
+    if not np.isfinite(v).all():
+        raise ValueError("entries must be finite")
     return np.array(_project(v.tolist()))
 
 
 def _project(v: list[float]) -> list[float]:
-    """`project_simplex` on a list of Python floats.
+    """`project_simplex` on a list of Python floats, without its checks.
 
-    At a few APs the projection is cheaper as a Python loop than as numpy
-    calls.  The operations and their order are numpy's (descending sort,
-    sequential running sum, clamp returning +0.0), so the result is the same
-    to the bit.
+    At a few APs a Python loop is cheaper than numpy calls.  The operations
+    and their order are numpy's (descending sort, sequential running sum),
+    so the result is the same to the bit.  An entry of +inf or beyond ~2**53
+    leaves no threshold and raises; the solver's entries are never NaN.
     """
-    if not all(map(math.isfinite, v)):
-        raise ValueError("entries must be finite")
     css = top = 0.0
     rho = 0
     for r, x in enumerate(sorted(v, reverse=True), 1):
@@ -143,30 +144,9 @@ def _project(v: list[float]) -> list[float]:
     if not rho:  # x > x - 1.0 fails for every entry beyond ~2**53
         raise ValueError("entries too large to project in double precision")
     theta = (top - 1.0) / rho
-    return [y if y > 0.0 else 0.0 for y in (x - theta for x in v)]
-
-
-class _Sweep:
-    """All client subproblems at once, on padded (M, D) client x candidate
-    tables, D the largest candidate-set size.
-
-    Row j holds client j's candidates AP-ascending, so the first minimum of
-    a row is the smallest-index tie-break; padding cells carry +inf, added
-    after the beta*price product so that it never meets a zero price.
-    """
-
-    def __init__(self, inst: Instance) -> None:
-        pairs = inst.pairs
-        self.ap = pairs.pad(pairs.ap, 0)
-        self.beta = pairs.pad(inst.beta, 0.0)
-        self.pen = pairs.pad(np.zeros(inst.beta.size), np.inf)
-        self.row = np.arange(0, self.ap.size, pairs.width)  # flat index of row starts
-
-    def __call__(self, prices: np.ndarray) -> float:
-        """Dual objective at `prices`: the sum of the per-client minima."""
-        w = self.beta * prices.take(self.ap)
-        w += self.pen
-        return float(np.add.reduce(w.take(self.row + w.argmin(axis=1))))
+    # x - theta rounds to the exact difference's sign, and to +0.0 at x ==
+    # theta: the clamp of np.maximum(x - theta, 0.0), which returns +0.0
+    return [x - theta if x > theta else 0.0 for x in v]
 
 
 def _run(
@@ -182,13 +162,19 @@ def _run(
         raise ValueError("step_scale must be positive and finite")
     if inst.n_aps < 1:
         raise ValueError("instance has no APs")
-    sweep = _Sweep(inst)
+    # (M, D) client x candidate tables, D the largest candidate-set size: row
+    # j holds client j's candidates AP-ascending, so the first minimum of a
+    # row is the smallest-index tie-break (the padding never wins it)
+    table = inst.pairs.table
+    ap, beta = inst.pairs.ap.take(table), inst.beta.take(table)
     n_aps = inst.n_aps
-    n_clients, width = sweep.ap.shape
-    block = min(max_iters, max(1, _BLOCK_CELLS // max(1, sweep.ap.size)))
+    n_clients, width = table.shape
+    row = np.arange(0, table.size, width)  # flat index of row starts
+    block = min(max_iters, max(1, _BLOCK_CELLS // max(1, table.size)))
     tables = np.empty((block, n_clients, width))
     cols = np.empty((block, n_clients), dtype=np.intp)
     row_starts = np.arange(0, tables.size, width).reshape(block, n_clients)
+    views = list(zip(tables, cols))  # one (weighted table, chosen columns) per iteration
     prices = [1.0 / n_aps] * n_aps
     price_rows: list[np.ndarray] | None = [] if collect_prices else None
     # The next prices need only the loads of the clients' choices.  The dual
@@ -203,34 +189,33 @@ def _run(
     primals: list[float] = []
     best_primal, best_key = math.inf, b""
 
-    for k in range(1, max_iters + 1):
-        price_array = np.array(prices)
-        if price_rows is not None:
-            price_rows.append(price_array)
-        b = (k - 1) % block
-        w = np.multiply(sweep.beta, price_array.take(sweep.ap), out=tables[b])
-        w += sweep.pen
-        key = w.argmin(axis=1, out=cols[b]).tobytes()
-        entry = memo.get(key)
-        if entry is None:
-            # loads accumulate in client order
-            chosen = sweep.row + cols[b]
-            loads = np.bincount(
-                sweep.ap.take(chosen), weights=sweep.beta.take(chosen), minlength=n_aps
-            ).tolist()
-            entry = (loads, float(max(loads)))  # float even with no clients
-            if len(memo) * n_clients < _MEMO_CELLS:
-                memo[key] = entry
-        loads, t_k = entry
-        primals.append(t_k)
-        if t_k < best_primal:
-            best_primal, best_key = t_k, key
-        if b == block - 1 or k == max_iters:
-            chosen = row_starts[: b + 1] + cols[: b + 1]
-            duals += np.add.reduce(tables.take(chosen), axis=1).tolist()
-        # step along the subgradient u = -loads with size step_scale/k
-        step = step_scale / k
-        prices = _project([p - step * -y for p, y in zip(prices, loads)])
+    for first in range(1, max_iters + 1, block):
+        for k, (w, c) in zip(range(first, min(first + block, max_iters + 1)), views):
+            price_array = np.array(prices)
+            if price_rows is not None:
+                price_rows.append(price_array)
+            np.multiply(beta, price_array.take(ap), out=w)
+            key = w.argmin(axis=1, out=c).tobytes()
+            entry = memo.get(key)
+            if entry is None:
+                # loads accumulate in client order
+                chosen = row + c
+                loads = np.bincount(
+                    ap.take(chosen), weights=beta.take(chosen), minlength=n_aps
+                ).tolist()
+                entry = (loads, float(max(loads)))  # float even with no clients
+                if len(memo) * n_clients < _MEMO_CELLS:
+                    memo[key] = entry
+            loads, t_k = entry
+            primals.append(t_k)
+            if t_k < best_primal:
+                best_primal, best_key = t_k, key
+            # step along the subgradient u = -loads with size step_scale/k
+            step = step_scale / k
+            prices = _project([p + step * y for p, y in zip(prices, loads)])
+        done = k + 1 - first
+        chosen = row_starts[:done] + cols[:done]
+        duals += np.add.reduce(tables.take(chosen), axis=1).tolist()
 
     # weak duality keeps every g_k below every t_k, so best_dual <= best_primal
     best_dual = max(duals)
@@ -244,7 +229,7 @@ def _run(
             if t_k < running_primal:
                 running_primal = t_k
             trace_rows.append((k, g, t_k, running_dual, running_primal))
-    best_chosen = sweep.ap.take(sweep.row + np.frombuffer(best_key, dtype=np.intp))
+    best_chosen = ap.take(row + np.frombuffer(best_key, dtype=np.intp))
     assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
     # summation rounding can push the dual a few ulps past an exactly optimal
     # primal; the certificate is still a width, never negative

@@ -55,7 +55,9 @@ class NodeBudgetExceeded(RuntimeError):
         )
 
 
-def enumerate_assignments(inst: Instance, limit: int = ENUMERATION_LIMIT) -> ExactResult:
+def enumerate_assignments(
+    inst: Instance, limit: int = ENUMERATION_LIMIT, warm_start: Assignment | None = None
+) -> ExactResult:
     """Exhaustive minimum over every one-AP-per-client assignment.
 
     Grows a (rows, n_aps) load table client by client, adding each choice's
@@ -64,19 +66,21 @@ def enumerate_assignments(inst: Instance, limit: int = ENUMERATION_LIMIT) -> Exa
     fastest, so the rows stay in lexicographic candidate-set order and the
     reported argmin is the first optimum in that order.
 
-    The table is bounded by U, the objective of the greedy incumbent: a
-    child row is kept only if its changed column is <= U.  Utilizations are
-    positive, so loads never fall as clients are added: a dropped row ends
-    above U >= optimum, and every optimal row survives.  The result is thus
-    bitwise that of the full table, and `nodes_explored` still counts the
-    whole assignment space, which the result certifies.
+    The table is bounded by U, the objective of the greedy incumbent or of
+    `warm_start` if smaller: a child row is kept only if its changed column
+    is <= U.  Utilizations are positive, so loads never fall as clients are
+    added: a dropped row ends above U >= optimum (`per_ap_loads` adds in
+    client order, so U is its map's own row value), and every optimal row
+    survives.  The result is thus bitwise that of the full table, and
+    `nodes_explored` still counts the whole assignment space, which the
+    result certifies.
     """
     product = inst.candidate_product()
     if product > limit:
         raise ValueError(
             f"search space {product:.3g} exceeds the enumeration limit {limit}"
         )
-    _, bound = _greedy_incumbent(inst)
+    _, bound = _greedy_incumbent(inst, warm_start)
     pairs = inst.pairs
     sizes = pairs.sizes.tolist()
     loads = np.zeros((1, inst.n_aps))
@@ -112,10 +116,13 @@ def _client_options(inst: Instance) -> tuple[list[float], list[list[tuple[float,
     return cheapest, options
 
 
-def _greedy_incumbent(inst: Instance) -> tuple[list[int], float]:
+def _greedy_incumbent(
+    inst: Instance, warm_start: Assignment | None = None
+) -> tuple[list[int], float]:
     """Longest-processing-time style incumbent: hardest clients (largest
     cheapest utilization) first, each to its least-loaded candidate AP.
-    Returns the client->AP map and its objective."""
+    Returns the client->AP map and its objective, or those of `warm_start`
+    when its objective is smaller."""
     cheapest, options = _client_options(inst)
     loads = [0.0] * inst.n_aps
     ap_of_client = [-1] * inst.n_clients
@@ -127,7 +134,10 @@ def _greedy_incumbent(inst: Instance) -> tuple[list[int], float]:
                 best_i, best_load = i, new
         ap_of_client[j] = best_i
         loads[best_i] = best_load
-    return ap_of_client, float(per_ap_loads(inst, ap_of_client).max(initial=0.0))
+    greedy = make_assignment(inst, ap_of_client)
+    warm = greedy if warm_start is None else make_assignment(inst, warm_start.ap_of_client)
+    best = warm if warm.objective < greedy.objective else greedy
+    return list(best.ap_of_client), best.objective
 
 
 def branch_and_bound(
@@ -172,12 +182,7 @@ def branch_and_bound(
         suffix_sum[d] = suffix_sum[d + 1] + rho
         suffix_max[d] = max(suffix_max[d + 1], rho)
 
-    incumbent_map, incumbent_val = _greedy_incumbent(inst)
-    if warm_start is not None:
-        ws_val = float(per_ap_loads(inst, warm_start.ap_of_client).max(initial=0.0))
-        if ws_val < incumbent_val:
-            incumbent_val = ws_val
-            incumbent_map = list(warm_start.ap_of_client)
+    incumbent_map, incumbent_val = _greedy_incumbent(inst, warm_start)
 
     nodes = 0
     done_at = -math.inf if lower_bound is None else lower_bound + 1e-12
@@ -248,7 +253,7 @@ def solve_milp_exact(
     incumbent when the budget runs out).
     """
     if inst.candidate_product() <= min(enumeration_limit, budget):
-        return enumerate_assignments(inst, limit=enumeration_limit)
+        return enumerate_assignments(inst, limit=enumeration_limit, warm_start=warm_start)
     return branch_and_bound(
         inst, node_budget=budget, warm_start=warm_start, lower_bound=lower_bound
     )

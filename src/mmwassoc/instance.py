@@ -84,27 +84,22 @@ class Pairs:
         return np.diff(self.start, append=self.client.size)
 
     @cached_property
-    def rank(self) -> np.ndarray:
-        """Position of every pair within its client's segment."""
-        return _frozen(np.arange(self.client.size) - self.start[self.client])
+    def table(self) -> np.ndarray:
+        """Pair indices as an (M, width) client table, width the largest
+        candidate-set size (at least 1): row j holds client j's pairs
+        AP-ascending, then copies of its first pair.
 
-    @cached_property
-    def width(self) -> int:
-        """Columns of a padded client table: the largest candidate-set size,
-        at least 1."""
-        return int(self.sizes.max(initial=1))
-
-    def pad(self, values: np.ndarray, fill) -> np.ndarray:
-        """Lay a per-pair array out as an (M, width) client table: row j holds
-        client j's pairs AP-ascending, then `fill`."""
-        values = np.asarray(values)
-        table = np.full((self.start.size, self.width), fill, dtype=values.dtype)
-        table[self.client, self.rank] = values
-        return table
+        A copy has its first pair's value and sits right of it, so with any
+        values laid out by the table (`values.take(table)`), a row's minimum
+        and the column of its first minimum are those of the client's pairs.
+        """
+        offset = np.arange(self.sizes.max(initial=1))
+        inside = offset < self.sizes[:, None]
+        return _frozen(self.start[:, None] + np.where(inside, offset, 0))
 
     def first_argmin(self, values: np.ndarray) -> np.ndarray:
         """Per client, the index of the first pair minimizing `values`."""
-        return self.start + self.pad(values, np.inf).argmin(axis=1)
+        return self.start + np.asarray(values).take(self.table).argmin(axis=1)
 
     def per_client(self, values: np.ndarray) -> list[list]:
         """Split a per-pair array into one Python list per client."""

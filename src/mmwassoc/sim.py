@@ -185,9 +185,10 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     demands = _stream(cfg.seed, _PURPOSE_DEMANDS, slot).uniform(
         0.0, cfg.demand_max, size=topo.n_clients
     )
-    # one scalar channel call per pair, on numpy scalars: vectorized numpy
+    # one scalar channel call per pair, on Python floats: vectorized numpy
     # power and log2 round differently in the last bit on some pairs
-    gains = np.array([compute_gain(cfg.channel, d, a) for d, a in zip(topo.distance, fading)])
+    pair_draws = zip(topo.distance.tolist(), fading.tolist())
+    gains = [compute_gain(cfg.channel, d, a) for d, a in pair_draws]
     rates = [compute_rate(cfg.channel, g) for g in gains]
     try:
         inst = build_instance(topo, demands, rates)
@@ -198,7 +199,7 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     rand_assignment = random_policy(inst, _stream(cfg.seed, _PURPOSE_RANDOM_POLICY, slot))
     n = topo.n_aps  # (client, ap) -> client * n + ap orders the pairs
     kept = np.isin(topo.pairs.client * n + topo.pairs.ap, inst.pairs.client * n + inst.pairs.ap)
-    rssi_assignment = rssi_policy(inst, cfg.channel.tx_power * gains[kept])
+    rssi_assignment = rssi_policy(inst, cfg.channel.tx_power * np.array(gains)[kept])
 
     p_exact = p_relax = jain_exact = relative_gap = None
     exact_wanted = cfg.with_exact and (

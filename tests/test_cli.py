@@ -558,6 +558,34 @@ def test_config_values_out_of_physical_range_exit_2(tmp_path, capsys, command, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, field",
+    [
+        ("noise_dbm_per_mhz", -4000, "noise_density"),  # underflows to a density of 0.0
+        ("wavelength_m", -1, "wavelength"),
+        ("bandwidth_hz", 0, "bandwidth"),
+        ("ref_distance_m", -2.5, "ref_distance"),
+        ("tx_power_mw", 0, "tx_power"),
+        ("tx_gain", -1, "tx_gain"),
+        ("rx_gain", 0.0, "rx_gain"),
+        ("path_loss_exp", 7, "path_loss_exp"),
+    ],
+)
+def test_channel_value_failing_validation_names_its_key(tmp_path, capsys, key, value, field):
+    # the channel checks its own fields; the error must still name the key
+    # the document used, with the value it gave
+    doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith("error: invalid config: ")
+    assert one_error_line(message, f"{key}={value!r}") and field in message
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_prints_the_convergence_bound_next_to_the_gap(chain_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", str(chain_file), "--iters", "200", "--out", str(out)]) == 0

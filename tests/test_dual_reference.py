@@ -2,16 +2,18 @@
 segmented-numpy references in `oracles`, bit for bit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmwassoc import dual_solver
 from mmwassoc.dual_solver import client_subproblem, dual_value, project_simplex, run_daa
 from mmwassoc.instance import instance_from_beta
-from oracles import ref_project_simplex, ref_run_daa
+from mmwassoc.policies import rssi_policy
+from oracles import _ref_first_argmin, ref_project_simplex, ref_run_daa
 
 utilizations = st.one_of(
     st.sampled_from([0.125, 0.25, 0.5, 1.0]),  # exact ties and the boundary
@@ -82,7 +84,7 @@ def random_instance(seed, n, m, d, values=None):
 
 def block_size(inst):
     """Iterations per block of the dual-value buffer."""
-    return dual_solver._BLOCK_CELLS // (inst.n_clients * inst.pairs.width)
+    return dual_solver._BLOCK_CELLS // inst.pairs.table.size
 
 
 def assert_loop_matches_reference(inst, iters, step=1.0):
@@ -183,3 +185,58 @@ def test_run_daa_rejects_non_finite_step_at_entry(step):
     inst = instance_from_beta(2, 2, {(0, 0): 0.5, (1, 1): 0.5})
     with pytest.raises(ValueError, match="step_scale"):
         run_daa(inst, 5, step_scale=step)
+
+
+signed = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5]),  # exact ties, zeros of both signs
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_padded_table_argmin_matches_reference(inst, data):
+    # a padding cell repeats its row's first candidate to its right, so it
+    # wins neither the argmin nor the minimum, whatever the values' signs
+    values = np.array(data.draw(st.lists(signed, min_size=inst.beta.size, max_size=inst.beta.size)))
+    if inst.n_clients:  # reduceat has no empty form
+        expected = _ref_first_argmin(inst, values)
+        assert inst.pairs.first_argmin(values).tolist() == expected.tolist()
+        assert rssi_policy(inst, -values).ap_of_client == tuple(inst.pairs.ap[expected].tolist())
+    prices = np.array(data.draw(st.lists(signed, min_size=inst.n_aps, max_size=inst.n_aps)))
+    weighted = inst.beta * prices[inst.pairs.ap]
+    winner = _ref_first_argmin(inst, weighted) if inst.n_clients else np.zeros(0, dtype=int)
+    assert repr(dual_value(inst, prices)) == repr(float(np.sum(weighted[winner])))
+    for j, pair in enumerate(winner.tolist()):
+        assert client_subproblem(inst, prices, j) == inst.pairs.ap[pair]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(entries, entries), min_size=1, max_size=12),
+    st.sampled_from([1.0, 0.5, 1.0 / 3.0]) | st.floats(1e-6, 1e6),
+)
+@example([(1.0, 0.0), (-0.0, -0.0)], 1.0)  # theta 0.0 meets x = -0.0: the clamp gives +0.0
+def test_loop_projection_matches_reference_bitwise(price_loads, step):
+    # the loop steps as p + step * loads; the reference as p - step * u, u = -loads
+    prices, loads = (list(column) for column in zip(*price_loads))
+    stepped = [p + step * y for p, y in zip(prices, loads)]
+    try:
+        expected = ref_project_simplex(np.array(prices) - step * -np.array(loads))
+    except IndexError:  # no threshold: the helper refuses too
+        with pytest.raises(ValueError, match="too large to project"):
+            dual_solver._project(stepped)
+        return
+    assert np.array(dual_solver._project(stepped)).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(instances(), st.integers(1, 400), st.integers(1, 3), st.sampled_from([-1, 0, 1]))
+def test_run_daa_matches_reference_around_block_ends(inst, cells, blocks, offset):
+    # K = blocks * block + offset: a last block one short, exactly full, or
+    # holding one iteration
+    block = max(1, cells // max(1, inst.pairs.table.size))
+    iters = max(1, blocks * block + offset)
+    with mock.patch.object(dual_solver, "_BLOCK_CELLS", cells):
+        new = run_daa(inst, iters, trace=True, collect_prices=True)
+    assert_same_report(new, ref_run_daa(inst, iters, trace=True, collect_prices=True))

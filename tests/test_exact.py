@@ -19,7 +19,12 @@ from mmwassoc.exact import (
     solve_lp_relaxation,
     solve_milp_exact,
 )
-from mmwassoc.instance import example1_instance, example2_instance, instance_from_beta
+from mmwassoc.instance import (
+    example1_instance,
+    example2_instance,
+    instance_from_beta,
+    make_assignment,
+)
 from oracles import (
     beta_dict,
     brute_force,
@@ -94,6 +99,19 @@ def test_bounded_enumeration_matches_brute_force_bitwise(inst):
     assert repr(result.optimal_value) == repr(oracle_val)
     assert result.assignment.ap_of_client == oracle_map
     assert result.nodes_explored == int(inst.candidate_product())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_search_spaces(), st.data())
+def test_enumeration_bounded_by_a_warm_start_matches_brute_force_bitwise(inst, data):
+    # any map may warm-start, the first optimum itself (the tightest bound) too
+    oracle_val, oracle_map = brute_force(inst)
+    drawn = tuple(data.draw(st.sampled_from(c)) for c in inst.candidates_of_client)
+    warm = make_assignment(inst, data.draw(st.sampled_from([oracle_map, drawn])))
+    for result in (enumerate_assignments(inst, warm_start=warm), solve_milp_exact(inst, warm_start=warm)):
+        assert repr(result.optimal_value) == repr(oracle_val)
+        assert result.assignment.ap_of_client == oracle_map
+        assert result.nodes_explored == int(inst.candidate_product())
 
 
 def test_enumeration_returns_first_optimum_when_greedy_ties_later():
