@@ -62,6 +62,7 @@ from .sim import (
     ExperimentResult,
     GeometryError,
     SlotResult,
+    WorkerError,
     generate_topology,
     run_experiment,
     run_slot,

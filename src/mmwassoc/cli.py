@@ -36,7 +36,15 @@ from .instance import (
     json_number,
     json_object,
 )
-from .sim import SWEEPABLE, ExperimentConfig, GeometryError, SlotResult, run_experiment, sweep
+from .sim import (
+    SWEEPABLE,
+    ExperimentConfig,
+    GeometryError,
+    SlotResult,
+    WorkerError,
+    run_experiment,
+    sweep,
+)
 
 
 def _exact_limit(value, key: str) -> float:
@@ -94,24 +102,27 @@ def parse_experiment_config(doc) -> ExperimentConfig:
             f"accepted keys are {sorted(CONFIG_KEYS)}",
             file=sys.stderr,
         )
-    config, channel, link_budget = {}, {}, {}  # link_budget: channel field -> "key=value"
+    # given: field -> "key=value", for every channel field and every field
+    # whose document key has another name
+    config, channel, given = {}, {}, {}
     for key, value in doc.items():
         if key in CONFIG_KEYS:
             field, read = CONFIG_KEYS[key]
             owner, _, name = field.rpartition(".")
             (channel if owner else config)[name] = read(value, key)
-            if owner:
-                link_budget[name] = f"{key}={value!r}"
+            if owner or name != key:
+                given[name] = f"{key}={value!r}"
     try:
         return ExperimentConfig(channel=replace(default_params(), **channel), **config)
     except InfeasibleRadiusError as exc:  # the cell derives from the link budget: name its keys
-        given = f" (from {', '.join(link_budget.values())})" if link_budget else ""
-        raise ValueError(f"{exc}{given}") from exc
-    except ValueError as exc:  # a channel error starts with its field: name the key
+        link_budget = [given[name] for name in channel]
+        keys = f" (from {', '.join(link_budget)})" if link_budget else ""
+        raise ValueError(f"{exc}{keys}") from exc
+    except ValueError as exc:  # an error starts with its field: name the key
         field = str(exc).partition(" ")[0]
-        if field not in link_budget:
+        if field not in given:
             raise
-        raise ValueError(f"{exc} (from {link_budget[field]})") from exc
+        raise ValueError(f"{exc} (from {given[field]})") from exc
 
 
 def _read_json(path: str | Path):
@@ -240,7 +251,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     chash = config_hash({**resolved, "command": "experiment"})
     try:
         result = run_experiment(cfg, jobs=args.jobs)
-    except (GeometryError, ValueError) as exc:  # InfeasibleClientError is a ValueError
+    except (GeometryError, WorkerError, ValueError) as exc:  # InfeasibleClientError is a ValueError
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return 1
     csv_text = f"# config_hash={chash}\n" + slots_csv(result)

@@ -54,6 +54,9 @@ class NodeBudgetExceeded(RuntimeError):
             f"incumbent objective {incumbent.optimal_value}"
         )
 
+    def __reduce__(self):  # rebuild from the incumbent, not from the message
+        return type(self), (self.incumbent,)
+
 
 def enumerate_assignments(
     inst: Instance, limit: int = ENUMERATION_LIMIT, warm_start: Assignment | None = None

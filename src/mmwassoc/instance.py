@@ -49,10 +49,14 @@ class InfeasibleClientError(ValueError):
 
     def __init__(self, client: int, reason: str = "") -> None:
         self.client = client
+        self.reason = reason
         msg = f"client {client} has no admissible AP"
         if reason:
             msg += f" ({reason})"
         super().__init__(msg)
+
+    def __reduce__(self):  # rebuild from the fields, not from the message
+        return type(self), (self.client, self.reason)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ evaluated in parallel, and results are bitwise identical for any worker count.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -26,6 +26,7 @@ from .policies import jain_index, random_policy, rssi_policy
 
 __all__ = [
     "GeometryError",
+    "WorkerError",
     "ExperimentConfig",
     "SlotResult",
     "ExperimentResult",
@@ -47,6 +48,10 @@ SWEEPABLE = ("n_clients", "n_aps", "daa_iters")
 
 class GeometryError(RuntimeError):
     """Client placement could not be completed (degenerate geometry)."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without reporting its share of the slots."""
 
 
 def _stream(seed: int, purpose: int, slot: int | None = None) -> np.random.Generator:
@@ -235,8 +240,54 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     )
 
 
-def _slot_task(args: tuple[ExperimentConfig, Topology, int]) -> SlotResult:
-    return run_slot(*args)
+def _run_share(cfg: ExperimentConfig, topo: Topology, share: range) -> list[SlotResult]:
+    # run_slot is looked up at call time, so a wrapper set on the module applies
+    return [run_slot(cfg, topo, t) for t in share]
+
+
+def _share_worker(send, cfg: ExperimentConfig, topo: Topology, share: range) -> None:
+    """Worker process body: one message, the share's results or its exception."""
+    try:
+        payload = _run_share(cfg, topo, share)
+    except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+        payload = exc
+    send.send(payload)
+
+
+def _run_shares(cfg: ExperimentConfig, topo: Topology, shares: list[range]) -> list[SlotResult]:
+    """Results of every share in slot order: the caller runs the first share,
+    one worker process per other share sends its list back over a pipe."""
+    workers = []
+    try:
+        for share in shares[1:]:
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(target=_share_worker, args=(send, cfg, topo, share))
+            proc.start()
+            workers.append((share, proc, recv))
+            # the worker holds the only send end: its death reads as EOFError
+            send.close()
+        results = _run_share(cfg, topo, shares[0])
+        for share, proc, recv in workers:
+            try:
+                payload = recv.recv()
+            except EOFError:
+                proc.join()
+                raise WorkerError(
+                    f"the worker for slots {share.start}..{share.stop - 1} exited with "
+                    f"code {proc.exitcode} before sending its results"
+                ) from None
+            if isinstance(payload, Exception):
+                raise payload
+            results.extend(payload)
+    except BaseException:
+        for _, proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for _, proc, recv in workers:
+            proc.join()
+            recv.close()
+    return results
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -283,19 +334,19 @@ def aggregate(cfg: ExperimentConfig, results: Sequence[SlotResult]) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run every slot and average.  Worker count never changes the numbers:
-    slots use counter-derived substreams and results merge in slot order."""
+    slots use counter-derived substreams and results merge in slot order.
+
+    `jobs` splits the slots into min(jobs, slots, CPUs) contiguous shares; the
+    calling process runs the first, one worker process each runs the others.
+    A share's exception is re-raised here as with jobs=1; a worker that dies
+    without reporting raises WorkerError."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     topo = generate_topology(cfg)
-    tasks = [(cfg, topo, t) for t in range(cfg.slots)]
-    # the pool forks all its workers at once: no more than there are slots or CPUs
+    # contiguous shares, no more than there are slots or CPUs
     workers = min(jobs, cfg.slots, os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, cfg.slots // (4 * workers))
-            results = list(pool.map(_slot_task, tasks, chunksize=chunksize))
-    else:
-        results = [run_slot(*task) for task in tasks]
+    bounds = [cfg.slots * k // workers for k in range(workers + 1)]
+    results = _run_shares(cfg, topo, [range(a, b) for a, b in zip(bounds, bounds[1:])])
     agg = aggregate(cfg, results)
     exact_skipped = (
         agg["slots_feasible"] - agg["slots_with_exact"] if cfg.with_exact else 0

@@ -1,27 +1,32 @@
+import multiprocessing
+
 import pytest
 
 from mmwassoc import sim
 
 
+@pytest.fixture(autouse=True)
+def no_child_left_alive():
+    """Fail any test that leaves a live child process behind."""
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:
+        proc.terminate()
+        proc.join()
+    if alive:
+        pytest.fail(f"the test left child processes alive: {alive}")
+
+
 @pytest.fixture()
-def pool_sizes(monkeypatch):
-    """Replace the harness's process pool with a serial stand-in and return
-    the list of `max_workers` values it was asked for.  No process starts, so
-    tests may pass any `jobs` value."""
-    sizes = []
+def share_counts(monkeypatch):
+    """Run the harness's slot shares serially in this process and return the
+    list of share counts it was asked for, one per experiment.  No process
+    starts, so tests may pass any `jobs` value."""
+    counts = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def serial(cfg, topo, shares):
+        counts.append(len(shares))
+        return [r for share in shares for r in sim._run_share(cfg, topo, share)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    monkeypatch.setattr(sim, "_run_shares", serial)
+    return counts

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,11 @@ from mmwassoc.dual_solver import convergence_bound
 from mmwassoc.instance import example1_instance, instance_to_json
 
 FIXTURE = Path(__file__).parent / "fixtures" / "chain_three_cells.json"
+
+# a module attribute patched in the test reaches a worker only if it forks
+requires_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers do not fork"
+)
 
 
 @pytest.fixture()
@@ -154,14 +161,14 @@ def test_nonpositive_jobs_exit_2(config_file, tmp_path, capsys, command, jobs):
 
 
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
-def test_huge_jobs_gets_a_bounded_pool(config_file, tmp_path, monkeypatch, pool_sizes, command):
+def test_huge_jobs_gets_a_bounded_pool(config_file, tmp_path, monkeypatch, share_counts, command):
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
     out = tmp_path / "out"
     argv = [command, "--config", str(config_file), "--out", str(out), "--jobs", "1000000"]
     if command == "sweep":
         argv += ["--vary", "n_clients", "--values", "4,8"]
     assert main(argv) == 0
-    assert pool_sizes == [3] * (2 if command == "sweep" else 1)  # the config runs 3 slots
+    assert share_counts == [3] * (2 if command == "sweep" else 1)  # the config runs 3 slots
 
 
 def test_seed_flag_changes_hash_and_results(config_file, tmp_path):
@@ -367,6 +374,77 @@ def test_experiment_huge_step_scale_fails_cleanly(tmp_path, capsys, jobs):
     assert "too large to project" in err
 
 
+@pytest.fixture()
+def budget_from_slot_2(tmp_path, monkeypatch):
+    """A config whose exact oracle runs out of a 10-node budget from slot 2 on.
+    At --jobs 2 that slot is in the worker's share, so the error crosses the pipe."""
+    current = {}
+    run_slot, solve_milp_exact = sim.run_slot, sim.solve_milp_exact
+
+    def tagged_run_slot(cfg, topo, slot):
+        current["slot"] = slot
+        return run_slot(cfg, topo, slot)
+
+    def budgeted(inst, **kwargs):
+        if current["slot"] >= 2:
+            kwargs.update(budget=10, enumeration_limit=1)
+        return solve_milp_exact(inst, **kwargs)
+
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sim, "run_slot", tagged_run_slot)
+    monkeypatch.setattr(sim, "solve_milp_exact", budgeted)
+    doc = {
+        "n_aps": 3, "n_clients": 30, "slots": 4, "daa_iters": 50,
+        "ap_spacing_factor": 0.01, "with_exact": True, "force_exact": True,
+    }
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@requires_fork
+def test_node_budget_error_is_the_same_for_any_jobs(budget_from_slot_2, tmp_path, capsys):
+    outcomes = []
+    for jobs in ("1", "2"):
+        argv = ["experiment", "--config", str(budget_from_slot_2), "--jobs", jobs]
+        outcomes.append((main(argv + ["--out", str(tmp_path / jobs)]), capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 1 and one_error_line(err, "node budget exhausted after 10 nodes")
+
+
+@requires_fork
+def test_sweep_rows_are_the_same_for_any_jobs(budget_from_slot_2, tmp_path, capsys):
+    outcomes = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        argv = ["sweep", "--config", str(budget_from_slot_2), "--vary", "n_clients"]
+        assert main(argv + ["--values", "30,31", "--jobs", jobs, "--out", str(out)]) == 0
+        outcomes.append((next(out.glob("sweep_*.csv")).read_text(), capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].count("NodeBudgetExceeded: node budget exhausted") == 2
+
+
+@requires_fork
+def test_experiment_reports_a_dead_worker_in_one_line(tmp_path, capsys, monkeypatch):
+    caller, run_slot = os.getpid(), sim.run_slot
+
+    def dying_run_slot(cfg, topo, slot):
+        if os.getpid() != caller:
+            os._exit(3)
+        return run_slot(cfg, topo, slot)
+
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sim, "run_slot", dying_run_slot)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": 4, "daa_iters": 20}))
+    argv = ["experiment", "--config", str(path), "--jobs", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert one_error_line(err, "the worker for slots 2..3 exited with code 3")
+    assert err.startswith("error: experiment failed: ")
+
+
 @pytest.mark.parametrize("values", ["4,x", "4,,8", ""])
 def test_sweep_rejects_non_integer_values(config_file, tmp_path, capsys, values):
     argv = ["sweep", "--config", str(config_file), "--vary", "n_clients", "--values", values]
@@ -521,6 +599,17 @@ def test_verify_rejects_unreadable_manifest(tmp_path, capsys, content):
     manifest.write_text(content)
     assert main(["verify", "--out", str(out)]) == 2
     assert one_error_line(capsys.readouterr().err, str(manifest))
+
+
+@pytest.mark.parametrize("value", [-1, 0])
+def test_renamed_config_key_is_named_in_its_error(tmp_path, capsys, value):
+    # the field is demand_max; the message must name the key the document used
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": 1, "demand_max_bps": value}))
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert one_error_line(capsys.readouterr().err, f"(from demand_max_bps={value!r})")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,18 @@ def test_budget_exhaustion_carries_incumbent():
     incumbent = err.value.incumbent
     assert incumbent.assignment is not None
     assert incumbent.optimal_value >= brute_force(inst)[0] - 1e-12
+
+
+def test_budget_exhaustion_survives_pickling():
+    # a worker process sends its exception to the caller pickled
+    rng = np.random.default_rng(17)
+    inst = random_full_instance(rng, n_lo=4, n_hi=4, m_lo=12, m_hi=12)
+    with pytest.raises(NodeBudgetExceeded) as err:
+        branch_and_bound(inst, node_budget=10)
+    copy = pickle.loads(pickle.dumps(err.value))
+    assert type(copy) is NodeBudgetExceeded
+    assert str(copy) == str(err.value)
+    assert repr(copy.incumbent) == repr(err.value.incumbent)
 
 
 def test_budget_exhaustion_counts_only_budgeted_nodes():

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import warnings
 from pathlib import Path
@@ -85,6 +86,15 @@ def test_infeasible_client_reason_tells_missing_from_pruned():
     with pytest.raises(InfeasibleClientError, match="pruned") as err:
         instance_from_beta(2, 2, {(0, 0): 0.5, (1, 1): 1.5})
     assert err.value.client == 1
+
+
+@pytest.mark.parametrize("reason", ["", "no candidate links"])
+def test_infeasible_client_error_survives_pickling(reason):
+    # a worker process sends its exception to the caller pickled
+    original = InfeasibleClientError(3, reason)
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is InfeasibleClientError
+    assert (copy.client, copy.reason, str(copy)) == (3, reason, str(original))
 
 
 def test_build_requires_exact_pair_cover():

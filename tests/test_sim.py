@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -93,12 +96,42 @@ def test_worker_count_never_changes_results():
     "jobs, slots, cpus, pool",
     [(10**6, 3, 8, 3), (10**6, 12, 4, 4), (3, 12, None, None), (2, 12, 2, 2), (5, 1, 8, None)],
 )
-def test_pool_is_bounded_by_slots_and_cpus(monkeypatch, pool_sizes, jobs, slots, cpus, pool):
+def test_pool_is_bounded_by_slots_and_cpus(monkeypatch, share_counts, jobs, slots, cpus, pool):
     monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
     cfg = small_cfg(slots=slots, daa_iters=20)
     result = run_experiment(cfg, jobs=jobs)
-    assert pool_sizes == ([] if pool is None else [pool])
+    assert share_counts == [1 if pool is None else pool]  # None: the caller runs every slot
     assert repr(result.slots) == repr(run_experiment(cfg, jobs=1).slots)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 7])
+def test_every_job_count_gives_the_same_results(monkeypatch, slots):
+    # four CPUs, so that jobs up to 4 really start that many shares
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    cfg = small_cfg(slots=slots, daa_iters=40, with_exact=True)
+    serial = run_experiment(cfg, jobs=1)
+    for jobs in (2, 3, 4):
+        result = run_experiment(cfg, jobs=jobs)
+        assert repr(result.slots) == repr(serial.slots)
+        assert repr(result.aggregates) == repr(serial.aggregates)
+
+
+def test_failing_caller_share_leaves_no_worker_alive(monkeypatch):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    caller, real = os.getpid(), sim.run_slot
+
+    def run_slot(cfg, topo, slot):
+        if os.getpid() == caller:
+            raise RuntimeError(f"slot {slot} failed")
+        time.sleep(60)  # the workers are still busy when the caller fails
+        return real(cfg, topo, slot)
+
+    monkeypatch.setattr(sim, "run_slot", run_slot)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="slot 0 failed"):
+        run_experiment(small_cfg(slots=6, daa_iters=20), jobs=3)
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - start < 30
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
