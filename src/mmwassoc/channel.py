@@ -149,14 +149,18 @@ def compute_rate(p: ChannelParams, gain: float) -> float:
 
 
 def snr_at_distance(p: ChannelParams, d: float) -> float:
-    """Deterministic SNR operating point at distance d (fading excluded).
+    """Deterministic SINR operating point at distance d (fading excluded).
 
-    Constant P0*wavelength^2/(16*pi^2*N0*W) up to the reference distance,
-    decaying with (d/d0)^(-eta) beyond it.
+    Constant P0*gTx*gRx*wavelength^2/(16*pi^2*(N0+I)*W) up to the reference
+    distance, decaying with (d/d0)^(-eta) beyond it: the SINR compute_rate
+    sees on a unit-fading link.
     """
     if not d > 0.0:
         raise ValueError(f"distance must be strictly positive, got {d!r}")
-    snr0 = p.tx_power * p.wavelength**2 / (_SIXTEEN_PI_SQ * p.noise_density * p.bandwidth)
+    snr0 = (
+        p.tx_power * p.tx_gain * p.rx_gain * p.wavelength**2
+        / (_SIXTEEN_PI_SQ * (p.noise_density + p.interference_density) * p.bandwidth)
+    )
     if d <= p.ref_distance:
         return snr0
     return snr0 * (d / p.ref_distance) ** (-p.path_loss_exp)

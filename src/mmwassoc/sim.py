@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import signal
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .dual_solver import duality_gap_bound, run_daa
 from .exact import solve_lp_relaxation, solve_milp_exact
 from .instance import InfeasibleClientError, Topology, build_instance, topology_from_positions
 from .policies import jain_index, random_policy, rssi_policy
+
+if TYPE_CHECKING:  # imported at run time by the first Pipe(), never on the jobs=1 path
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "GeometryError",
@@ -245,31 +249,53 @@ def _run_share(cfg: ExperimentConfig, topo: Topology, share: range) -> list[Slot
     return [run_slot(cfg, topo, t) for t in share]
 
 
-def _share_worker(send, cfg: ExperimentConfig, topo: Topology, share: range) -> None:
-    """Worker process body: one message, the share's results or its exception."""
-    try:
-        payload = _run_share(cfg, topo, share)
-    except Exception as exc:  # noqa: BLE001 - the caller re-raises it
-        payload = exc
-    send.send(payload)
+_workers: list[tuple[multiprocessing.Process, Connection]] = []  # kept, in share order
+
+
+def _worker_loop(conn: Connection, caller_end: Connection) -> None:
+    """Kept worker body: answer each (cfg, topo, share) with the share's
+    results or its exception, until the caller's end of the pipe closes."""
+    caller_end.close()  # else a caller that dies without clean-up never reads as EOF
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    while True:
+        try:
+            cfg, topo, share = conn.recv()
+        except EOFError:
+            return
+        try:
+            payload = _run_share(cfg, topo, share)
+        except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+            payload = exc
+        conn.send(payload)
+
+
+def _close_workers() -> None:
+    """Terminate and join every kept worker; the next call forks new ones."""
+    while _workers:
+        proc, conn = _workers.pop()
+        proc.terminate()
+        proc.join()
+        conn.close()
 
 
 def _run_shares(cfg: ExperimentConfig, topo: Topology, shares: list[range]) -> list[SlotResult]:
     """Results of every share in slot order: the caller runs the first share,
-    one worker process per other share sends its list back over a pipe."""
-    workers = []
+    one kept worker per other share sends its list back over its pipe.  Any
+    error closes every worker, so no late reply reaches a later experiment."""
     try:
-        for share in shares[1:]:
-            recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(target=_share_worker, args=(send, cfg, topo, share))
+        while len(_workers) < len(shares) - 1:
+            conn, worker_end = multiprocessing.Pipe()
+            proc = multiprocessing.Process(target=_worker_loop, args=(worker_end, conn), daemon=True)
             proc.start()
-            workers.append((share, proc, recv))
-            # the worker holds the only send end: its death reads as EOFError
-            send.close()
+            worker_end.close()  # the worker holds the only copy: its death reads as EOFError
+            _workers.append((proc, conn))
+        busy = list(zip(shares[1:], _workers))
+        for share, (_, conn) in busy:
+            conn.send((cfg, topo, share))
         results = _run_share(cfg, topo, shares[0])
-        for share, proc, recv in workers:
+        for share, (proc, conn) in busy:
             try:
-                payload = recv.recv()
+                payload = conn.recv()
             except EOFError:
                 proc.join()
                 raise WorkerError(
@@ -280,13 +306,8 @@ def _run_shares(cfg: ExperimentConfig, topo: Topology, shares: list[range]) -> l
                 raise payload
             results.extend(payload)
     except BaseException:
-        for _, proc, _ in workers:
-            proc.terminate()
+        _close_workers()
         raise
-    finally:
-        for _, proc, recv in workers:
-            proc.join()
-            recv.close()
     return results
 
 
@@ -337,9 +358,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     slots use counter-derived substreams and results merge in slot order.
 
     `jobs` splits the slots into min(jobs, slots, CPUs) contiguous shares; the
-    calling process runs the first, one worker process each runs the others.
-    A share's exception is re-raised here as with jobs=1; a worker that dies
-    without reporting raises WorkerError."""
+    calling process runs the first, one kept worker process each runs the
+    others; workers start on first need and serve later calls.  A share's
+    exception is re-raised here as with jobs=1; a worker that dies without
+    reporting raises WorkerError."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     topo = generate_topology(cfg)

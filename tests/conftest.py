@@ -7,8 +7,11 @@ from mmwassoc import sim
 
 @pytest.fixture(autouse=True)
 def no_child_left_alive():
-    """Fail any test that leaves a live child process behind."""
+    """Close the harness's kept workers, then fail any test that leaves a
+    live child process behind.  Closing also keeps a worker forked in one
+    test from running another test's patched module."""
     yield
+    sim._close_workers()
     alive = multiprocessing.active_children()
     for proc in alive:
         proc.terminate()

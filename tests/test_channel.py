@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from mmwassoc.channel import (
@@ -14,6 +17,7 @@ from mmwassoc.channel import (
     realize_link,
     snr_at_distance,
 )
+from mmwassoc.sim import ExperimentConfig
 
 
 def test_gain_at_reference_distance_matches_direct_evaluation():
@@ -120,6 +124,32 @@ def test_snr_radius_round_trip(eta):
     for frac in (0.9, 0.5, 0.01, 1e-6):
         target = snr0 * frac
         assert snr_at_distance(p, cell_radius(p, target)) == pytest.approx(target, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    tx_gain=st.floats(0.1, 100.0),
+    rx_gain=st.floats(0.1, 100.0),
+    interference=st.one_of(st.just(0.0), st.floats(1e-22, 1e-17)),
+    eta=st.floats(2.0, 6.0),
+    frac=st.floats(1e-6, 0.9),
+)
+def test_unit_fading_sinr_at_the_radius_is_the_target(tx_gain, rx_gain, interference, eta, frac):
+    # the radius uses the link budget compute_rate sees: antenna gains and N0 + I
+    channel = replace(
+        default_params(path_loss_exp=eta),
+        tx_gain=tx_gain, rx_gain=rx_gain, interference_density=interference,
+    )
+    n0_w = (channel.noise_density + interference) * channel.bandwidth
+
+    def sinr(d):
+        return channel.tx_power * compute_gain(channel, d, 1.0) / n0_w
+
+    target = frac * sinr(channel.ref_distance)  # below the plateau: a radius exists
+    cfg = ExperimentConfig(
+        n_aps=1, n_clients=1, slots=1, channel=channel, target_snr_db=10.0 * math.log10(target)
+    )
+    assert sinr(cfg.radius) == pytest.approx(target, rel=1e-9)
 
 
 def test_mean_fading_gain_matches_unit_fading():

@@ -445,6 +445,30 @@ def test_experiment_reports_a_dead_worker_in_one_line(tmp_path, capsys, monkeypa
     assert err.startswith("error: experiment failed: ")
 
 
+@requires_fork
+def test_kept_worker_dying_in_a_later_experiment_is_one_line(tmp_path, capsys, monkeypatch):
+    caller, run_slot = os.getpid(), sim.run_slot
+
+    def dying_run_slot(cfg, topo, slot):
+        if os.getpid() != caller and cfg.seed == 1:
+            os._exit(3)
+        return run_slot(cfg, topo, slot)
+
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sim, "run_slot", dying_run_slot)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": 4, "daa_iters": 20}))
+    argv = ["experiment", "--config", str(path), "--jobs", "2", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--seed", "0"]) == 0
+    worker = multiprocessing.active_children()
+    assert len(worker) == 1
+    capsys.readouterr()
+    assert main(argv + ["--seed", "1"]) == 1  # the same worker, now dying
+    err = capsys.readouterr().err
+    assert one_error_line(err, "the worker for slots 2..3 exited with code 3")
+    assert worker[0].exitcode == 3 and multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("values", ["4,x", "4,,8", ""])
 def test_sweep_rejects_non_integer_values(config_file, tmp_path, capsys, values):
     argv = ["sweep", "--config", str(config_file), "--vary", "n_clients", "--values", values]

@@ -1,6 +1,9 @@
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -132,6 +135,104 @@ def test_failing_caller_share_leaves_no_worker_alive(monkeypatch):
         run_experiment(small_cfg(slots=6, daa_iters=20), jobs=3)
     assert multiprocessing.active_children() == []
     assert time.monotonic() - start < 30
+
+
+@pytest.fixture()
+def process_starts(monkeypatch):
+    """Two CPUs, so that jobs=2 runs two shares; returns the list of every
+    process the test starts."""
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    started, start = [], multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started
+
+
+def live_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_kept_worker_serves_later_experiments_and_sweep_cells(process_starts):
+    cfg = small_cfg(slots=4, daa_iters=20)
+    pids = []
+    for _ in range(2):
+        run_experiment(cfg, jobs=2)
+        pids.append(live_pids())
+    rows = sweep(cfg, "n_clients", [10, 12], jobs=2)
+    pids.append(live_pids())
+    assert [row["error"] for row in rows] == [None, None]
+    assert len(process_starts) == 1
+    assert pids == [[process_starts[0].pid]] * 3
+
+
+def test_kept_worker_gives_the_serial_results_across_configs(process_starts):
+    configs = [
+        small_cfg(n_aps=2, n_clients=8, slots=4, daa_iters=30),
+        small_cfg(n_aps=3, n_clients=8, slots=5, daa_iters=30, with_exact=True, force_exact=True),
+    ]
+    parallel = [run_experiment(cfg, jobs=2) for cfg in configs]
+    assert len(process_starts) == 1
+    for cfg, result in zip(configs, parallel):
+        serial = run_experiment(cfg, jobs=1)
+        assert repr(result.slots) == repr(serial.slots)
+        assert repr(result.aggregates) == repr(serial.aggregates)
+    assert len(process_starts) == 1  # jobs=1 starts nothing
+
+
+def test_failing_share_closes_every_worker_and_the_next_call_starts_afresh(process_starts):
+    cfg = small_cfg(slots=4, daa_iters=20)
+    serial = run_experiment(cfg, jobs=1)
+    run_experiment(cfg, jobs=2)
+    # every slot fails: the caller raises from its own share and never reads
+    # the worker's reply, which must not reach the next call
+    with pytest.raises(ValueError, match="too large to project"):
+        run_experiment(small_cfg(slots=4, daa_iters=20, step_scale=1e17), jobs=2)
+    assert multiprocessing.active_children() == []
+    result = run_experiment(cfg, jobs=2)
+    assert len(process_starts) == 2
+    assert repr(result.slots) == repr(serial.slots)
+
+
+ORPHAN_SCRIPT = """
+import multiprocessing, os
+from mmwassoc import sim
+os.cpu_count = lambda: 2
+sim.run_experiment(sim.ExperimentConfig(n_aps=2, n_clients=6, slots=4, daa_iters=20), jobs=2)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+os._exit(0)  # no atexit clean-up: the worker must end on its own
+"""
+
+
+def ended(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_worker_ends_when_its_caller_dies_without_clean_up():
+    src = os.path.join(os.path.dirname(sim.__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # the worker inherits stdout: read one line, not up to EOF
+    with subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_SCRIPT], env=env, stdout=subprocess.PIPE, text=True
+    ) as caller:
+        (pid,) = map(int, caller.stdout.readline().split())
+        assert caller.wait(timeout=60) == 0
+    deadline = time.monotonic() + 5.0
+    while not ended(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert ended(pid)
+    finally:
+        if not ended(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
