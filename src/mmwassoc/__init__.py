@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelParams,
     InfeasibleRadiusError,
-    LinkRealization,
     cell_radius,
     compute_gain,
     compute_rate,
     default_params,
-    realize_link,
     snr_at_distance,
 )
 from .dual_solver import (
@@ -56,7 +54,7 @@ from .instance import (
     per_ap_loads,
     topology_from_positions,
 )
-from .policies import FairnessReport, jain_index, objective_value, random_policy, rssi_policy
+from .policies import FairnessReport, jain_index, random_policy, rssi_policy
 from .sim import (
     ExperimentConfig,
     ExperimentResult,

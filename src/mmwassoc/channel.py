@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ChannelParams",
-    "LinkRealization",
     "InfeasibleRadiusError",
     "default_params",
     "dbm_per_mhz_to_mw_per_hz",
@@ -21,7 +20,6 @@ __all__ = [
     "compute_rate",
     "snr_at_distance",
     "cell_radius",
-    "realize_link",
 ]
 
 _SIXTEEN_PI_SQ = 16.0 * math.pi**2
@@ -85,20 +83,6 @@ class ChannelParams:
             raise ValueError(
                 f"path_loss_exp must lie in [2, 6], got {self.path_loss_exp!r}"
             )
-
-
-@dataclass(frozen=True)
-class LinkRealization:
-    """One AP-client link draw: geometry, fading, resulting gain and rate."""
-
-    distance: float  # m
-    fading: float  # exponential unit-mean draw, dimensionless
-    gain: float  # dimensionless power gain
-    rate: float  # bit/s
-
-    def __post_init__(self) -> None:
-        if not (self.fading > 0.0 and self.gain > 0.0 and self.rate > 0.0):
-            raise ValueError("fading, gain and rate must be strictly positive")
 
 
 def dbm_per_mhz_to_mw_per_hz(dbm_per_mhz: float) -> float:
@@ -179,9 +163,3 @@ def cell_radius(p: ChannelParams, target_snr: float) -> float:
             f"the reference distance attains it"
         )
     return p.ref_distance * (snr0 / target_snr) ** (1.0 / p.path_loss_exp)
-
-
-def realize_link(p: ChannelParams, d: float, fading: float) -> LinkRealization:
-    """Evaluate gain and achievable rate for one link draw."""
-    gain = compute_gain(p, d, fading)
-    return LinkRealization(distance=d, fading=fading, gain=gain, rate=compute_rate(p, gain))

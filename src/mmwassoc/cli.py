@@ -134,8 +134,12 @@ def _read_json(path: str | Path):
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    """Write `text` to `path`, making its directory; an OSError becomes a ValueError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:  # e.g. --out names a file, or a path under one
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _fmt(value) -> str:
@@ -177,11 +181,6 @@ def slots_csv(result) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    if args.iters < 1 or not 0.0 < args.step_scale < math.inf:
-        raise ValueError(
-            f"need --iters >= 1 and a positive finite --step-scale, "
-            f"got {args.iters} and {args.step_scale}"
-        )
     inst = instance_from_json(_read_json(args.instance))
 
     resolved = {
@@ -194,7 +193,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         report = run_daa(inst, max_iters=args.iters, step_scale=args.step_scale, trace=args.trace)
     except ValueError as exc:
-        raise ValueError(f"solver failed at --step-scale {args.step_scale!r}: {exc}") from exc
+        flags = f"--iters {args.iters} --step-scale {args.step_scale!r}"
+        raise ValueError(f"solver failed at {flags}: {exc}") from exc
     solution = {
         "config_hash": chash,
         "assignment": list(report.assignment.ap_of_client),
@@ -240,6 +240,8 @@ def _load_experiment_config(args: argparse.Namespace) -> tuple[ExperimentConfig,
 
 
 def _check_jobs(args: argparse.Namespace) -> None:
+    # run_experiment checks jobs too, but sweep records a cell's error in its
+    # row and goes on: only this check makes `sweep --jobs 0` exit 2
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
@@ -256,16 +258,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return 1
     csv_text = f"# config_hash={chash}\n" + slots_csv(result)
     _write_text(out / f"experiment_{chash}.csv", csv_text)
+    agg = result.aggregates
     summary = {
         "config_hash": chash,
-        "aggregates": result.aggregates,
-        "infeasible_slots": result.infeasible_slots,
-        "exact_skipped": result.exact_skipped,
+        "aggregates": agg,
+        "infeasible_slots": agg["slots_infeasible"],
+        # slots_with_exact is 0 with the oracle off: no slot was skipped
+        "exact_skipped": agg["slots_feasible"] - agg["slots_with_exact"] if cfg.with_exact else 0,
     }
     _write_text(out / f"experiment_{chash}.json", json.dumps(summary, indent=2) + "\n")
     _write_manifest(out, "experiment", str(args.config), chash)
     print(f"{'metric':<16} value")
-    for key, value in result.aggregates.items():
+    for key, value in agg.items():
         print(f"{key:<16} {_fmt(value)}")
     return 0
 

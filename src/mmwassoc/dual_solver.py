@@ -149,13 +149,20 @@ def _project(v: list[float]) -> list[float]:
     return [x - theta if x > theta else 0.0 for x in v]
 
 
-def _run(
+def run_daa(
     inst: Instance,
     max_iters: int,
-    step_scale: float,
-    trace: bool,
-    collect_prices: bool,
+    step_scale: float = 1.0,
+    trace: bool = False,
+    collect_prices: bool = False,
 ) -> SolveReport:
+    """Projected-subgradient dual ascent with primal recovery.
+
+    Prices start uniform; iteration k solves all client subproblems, records
+    the feasible assignment's objective t_k and the dual value, and steps
+    with size step_scale/k before re-projecting.  Runs for exactly
+    `max_iters` iterations (fixed budget, reproducible traces).
+    """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not 0.0 < step_scale < math.inf:
@@ -245,23 +252,6 @@ def _run(
     )
 
 
-def run_daa(
-    inst: Instance,
-    max_iters: int,
-    step_scale: float = 1.0,
-    trace: bool = False,
-    collect_prices: bool = False,
-) -> SolveReport:
-    """Projected-subgradient dual ascent with primal recovery.
-
-    Prices start uniform; iteration k solves all client subproblems, records
-    the feasible assignment's objective t_k and the dual value, and steps
-    with size step_scale/k before re-projecting.  Runs for exactly
-    `max_iters` iterations (fixed budget, reproducible traces).
-    """
-    return _run(inst, max_iters, step_scale, trace, collect_prices)
-
-
 def run_daa_distributed(
     inst: Instance,
     max_iters: int,
@@ -278,7 +268,7 @@ def run_daa_distributed(
     its signalling clients locally, and AP 1 acts as coordinator: it gathers
     the u components, projects, and redistributes the new prices.
     """
-    report = _run(inst, max_iters, step_scale, trace, collect_prices)
+    report = run_daa(inst, max_iters, step_scale, trace, collect_prices)
     messages = MessageCounts(
         broadcasts=inst.n_aps * max_iters,
         client_signals=inst.n_clients * max_iters,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Assignment, Instance, make_assignment, per_ap_loads
+from .instance import Assignment, Instance, make_assignment
 
 __all__ = [
     "ExactResult",
@@ -39,7 +39,7 @@ class ExactResult:
 
     optimal_value: float
     assignment: Assignment | None = None
-    fractional: dict[tuple[int, int], float] | None = None
+    fractional: np.ndarray | None = None  # LP x of every pair, aligned with inst.pairs
     nodes_explored: int = 0
     duals: np.ndarray | None = None  # LP row duals (N AP rows, then M client rows)
 
@@ -83,7 +83,7 @@ def enumerate_assignments(
         raise ValueError(
             f"search space {product:.3g} exceeds the enumeration limit {limit}"
         )
-    _, bound = _greedy_incumbent(inst, warm_start)
+    bound = _greedy_incumbent(inst, warm_start).objective
     pairs = inst.pairs
     sizes = pairs.sizes.tolist()
     loads = np.zeros((1, inst.n_aps))
@@ -119,13 +119,11 @@ def _client_options(inst: Instance) -> tuple[list[float], list[list[tuple[float,
     return cheapest, options
 
 
-def _greedy_incumbent(
-    inst: Instance, warm_start: Assignment | None = None
-) -> tuple[list[int], float]:
+def _greedy_incumbent(inst: Instance, warm_start: Assignment | None = None) -> Assignment:
     """Longest-processing-time style incumbent: hardest clients (largest
     cheapest utilization) first, each to its least-loaded candidate AP.
-    Returns the client->AP map and its objective, or those of `warm_start`
-    when its objective is smaller."""
+    Returns that assignment, or `warm_start` repriced when its objective is
+    smaller."""
     cheapest, options = _client_options(inst)
     loads = [0.0] * inst.n_aps
     ap_of_client = [-1] * inst.n_clients
@@ -139,8 +137,7 @@ def _greedy_incumbent(
         loads[best_i] = best_load
     greedy = make_assignment(inst, ap_of_client)
     warm = greedy if warm_start is None else make_assignment(inst, warm_start.ap_of_client)
-    best = warm if warm.objective < greedy.objective else greedy
-    return list(best.ap_of_client), best.objective
+    return warm if warm.objective < greedy.objective else greedy
 
 
 def branch_and_bound(
@@ -185,16 +182,15 @@ def branch_and_bound(
         suffix_sum[d] = suffix_sum[d + 1] + rho
         suffix_max[d] = max(suffix_max[d + 1], rho)
 
-    incumbent_map, incumbent_val = _greedy_incumbent(inst, warm_start)
+    incumbent = _greedy_incumbent(inst, warm_start)
+    incumbent_val = incumbent.objective
 
     nodes = 0
     done_at = -math.inf if lower_bound is None else lower_bound + 1e-12
 
     def result() -> ExactResult:
         return ExactResult(
-            optimal_value=incumbent_val,
-            assignment=make_assignment(inst, incumbent_map),
-            nodes_explored=nodes,
+            optimal_value=incumbent_val, assignment=incumbent, nodes_explored=nodes
         )
 
     # with no client to branch on, the greedy map is the forced map: no leaf beats it
@@ -228,8 +224,8 @@ def branch_and_bound(
                 children = iter(sorted([(loads[i] + b, b, i) for b, i in options[depth]]))
                 break
             # every client placed, below the incumbent (bound >= child_max)
-            incumbent_map = list(partial_map)
-            incumbent_val = float(per_ap_loads(inst, incumbent_map).max(initial=0.0))
+            incumbent = make_assignment(inst, partial_map)
+            incumbent_val = incumbent.objective
             if incumbent_val <= done_at:
                 return result()
             loads[i] = new_load - b
@@ -368,15 +364,9 @@ def solve_lp_relaxation(inst: Instance) -> ExactResult:
     """Optimal value of the continuous relaxation (equals the dual optimum)."""
     a_mat, b, c = _lp_matrix(inst)
     x, obj, basis, pivots = _two_phase_simplex(a_mat, b, c)
-    keys = zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist())
-    fractional = dict(zip(keys, x[1 : 1 + inst.beta.size].tolist()))
-    basis_cols = a_mat[:, basis]
-    duals = np.linalg.solve(basis_cols.T, c[basis])
+    duals = np.linalg.solve(a_mat[:, basis].T, c[basis])
     return ExactResult(
-        optimal_value=obj,
-        fractional=fractional,
-        nodes_explored=pivots,
-        duals=duals,
+        optimal_value=obj, fractional=x[1 : 1 + inst.beta.size], nodes_explored=pivots, duals=duals
     )
 
 
@@ -388,8 +378,7 @@ def lp_cs_residual(inst: Instance, result: ExactResult) -> float:
     p = inst.beta.size
     x = np.zeros(1 + p + inst.n_aps)
     x[0] = result.optimal_value
-    keys = zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist())
-    x[1 : 1 + p] = [result.fractional[key] for key in keys]
+    x[1 : 1 + p] = result.fractional
     # recover the slack values from the AP rows
     x[1 + p :] = b[: inst.n_aps] - a_mat[: inst.n_aps, : 1 + p] @ x[: 1 + p]
     residual = float(np.max(np.abs(a_mat @ x - b), initial=0.0))

@@ -3,9 +3,8 @@
 The optimization data is sparse by construction: an (ap, client) pair exists
 only when the client sits in the AP's candidate set.  Pairs are stored once,
 as flat client-major arrays (clients ascending, APs ascending within a
-client); utilizations and rates are per-pair arrays aligned with them, and
-the candidate-set tuples are views derived from the pairs.  Dicts keyed by
-(ap, client) appear only at the input boundary and in the JSON document.
+client); utilizations and rates are per-pair arrays aligned with them.
+The one dict keyed by (ap, client) is the input of `instance_from_beta`.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ __all__ = [
     "make_assignment",
     "instance_to_json",
     "instance_from_json",
+    "check_ap_count",
     "json_int",
     "json_number",
     "json_bool",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
-MAX_APS = 1 << 16  # n_aps ceiling of a JSON document, checked before any per-AP array exists
+MAX_APS = 1 << 16  # n_aps ceiling of a JSON document or an experiment config
 
 
 class InfeasibleClientError(ValueError):
@@ -112,23 +112,8 @@ class Pairs:
         return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-class _CandidateViews:
-    """Candidate-set tuples derived from the `pairs` and `n_aps` attributes."""
-
-    @cached_property
-    def candidates_of_client(self) -> tuple[tuple[int, ...], ...]:
-        """N_j for every client, AP-ascending."""
-        return tuple(map(tuple, self.pairs.per_client(self.pairs.ap)))
-
-    @cached_property
-    def clients_of_ap(self) -> tuple[tuple[int, ...], ...]:
-        """M_i for every AP, client-ascending."""
-        pairs = self.pairs
-        return tuple(tuple(pairs.client[pairs.ap == i].tolist()) for i in range(self.n_aps))
-
-
 @dataclass(frozen=True, eq=False)
-class Topology(_CandidateViews):
+class Topology:
     """AP and client planar positions plus the geometric candidate pairs."""
 
     ap_positions: np.ndarray  # (N, 2) meters
@@ -174,7 +159,7 @@ def topology_from_positions(
 
 
 @dataclass(frozen=True, eq=False)
-class Instance(_CandidateViews):
+class Instance:
     """Pruned optimization problem data.
 
     Every stored pair satisfies 0 < beta <= 1 and beta == demand/rate to
@@ -269,27 +254,15 @@ def _assemble(
 
 
 def build_instance(
-    topo: Topology,
-    demands: Sequence[float],
-    link_rates: Sequence[float] | Mapping[tuple[int, int], float],
+    topo: Topology, demands: Sequence[float], link_rates: Sequence[float]
 ) -> Instance:
     """Compute utilizations beta = demand/rate on the topology's pairs and prune.
 
-    `link_rates` holds one rate per topology pair, aligned with `topo.pairs`,
-    or is a mapping keyed by exactly the topology's (ap, client) pairs.
+    `link_rates` holds one rate per topology pair, aligned with `topo.pairs`.
     Pairs with beta > 1 or a rate of 0 are removed; a client whose whole
     candidate set is pruned raises InfeasibleClientError.
     """
     pairs = topo.pairs
-    if isinstance(link_rates, Mapping):
-        keys = list(zip(pairs.ap.tolist(), pairs.client.tolist()))
-        missing, extra = sorted(set(keys) - set(link_rates)), sorted(set(link_rates) - set(keys))
-        if missing or extra:
-            raise ValueError(
-                f"link_rates must cover exactly the topology pairs "
-                f"(missing {missing[:3]}, unexpected {extra[:3]})"
-            )
-        link_rates = [link_rates[k] for k in keys]
     rate = np.asarray(link_rates, dtype=float)
     if rate.shape != pairs.ap.shape:
         raise ValueError(
@@ -408,6 +381,14 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
+def check_ap_count(n_aps: int) -> int:
+    """`n_aps` if it lies in [1, MAX_APS], else ValueError; checked before
+    any per-AP array exists."""
+    if not 1 <= n_aps <= MAX_APS:
+        raise ValueError(f"n_aps must lie in [1, {MAX_APS}], got {n_aps}")
+    return n_aps
+
+
 def _checked(ok: bool, value, name: str, what: str):
     if not ok:
         raise ValueError(f"{name} must be {what}, got {value!r:.60}")
@@ -452,9 +433,7 @@ def instance_from_json(doc) -> Instance:
     come in any order.
     """
     doc = json_object(doc, "instance document", "n_aps", "n_clients", "demands", "links")
-    n_aps = json_int(doc["n_aps"], "n_aps")
-    if not 1 <= n_aps <= MAX_APS:
-        raise ValueError(f"n_aps must lie in [1, {MAX_APS}], got {n_aps}")
+    n_aps = check_ap_count(json_int(doc["n_aps"], "n_aps"))
     demands = [
         json_number(q, f"demands[{j}]") for j, q in enumerate(json_list(doc["demands"], "demands"))
     ]

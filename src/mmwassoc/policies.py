@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -14,7 +13,6 @@ __all__ = [
     "random_policy",
     "rssi_policy",
     "jain_index",
-    "objective_value",
 ]
 
 
@@ -37,19 +35,10 @@ def random_policy(inst: Instance, seed: int | np.random.Generator) -> Assignment
     return make_assignment(inst, choice.tolist())
 
 
-def rssi_policy(
-    inst: Instance, received_powers: np.ndarray | Mapping[tuple[int, int], float]
-) -> Assignment:
+def rssi_policy(inst: Instance, received_powers: np.ndarray) -> Assignment:
     """Assign every client to its strongest received power, ties to the
-    smallest AP index.  Powers are given per pair, aligned with `inst.pairs`,
-    or as a mapping that covers every candidate (ap, client) pair."""
+    smallest AP index.  Powers are given per pair, aligned with `inst.pairs`."""
     pairs = inst.pairs
-    if isinstance(received_powers, Mapping):
-        keys = list(zip(pairs.ap.tolist(), pairs.client.tolist()))
-        for i, j in keys:
-            if (i, j) not in received_powers:
-                raise ValueError(f"received power missing for candidate pair ({i}, {j})")
-        received_powers = [received_powers[key] for key in keys]
     powers = np.asarray(received_powers, dtype=float)
     if powers.shape != pairs.ap.shape:
         raise ValueError(f"need {pairs.ap.size} received powers, one per pair, got {powers.size}")
@@ -68,8 +57,3 @@ def jain_index(inst: Instance, a: Assignment) -> FairnessReport:
     if denom == 0.0:
         return FairnessReport(index=1.0, per_ap_load=loads, degenerate=True)
     return FairnessReport(index=total_sq / denom, per_ap_load=loads)
-
-
-def objective_value(inst: Instance, a: Assignment) -> float:
-    """Maximum AP utilization under the assignment."""
-    return float(per_ap_loads(inst, a.ap_of_client).max(initial=0.0))

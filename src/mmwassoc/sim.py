@@ -22,7 +22,8 @@ from .channel import ChannelParams, InfeasibleRadiusError, cell_radius, compute_
 from .channel import default_params
 from .dual_solver import duality_gap_bound, run_daa
 from .exact import solve_lp_relaxation, solve_milp_exact
-from .instance import InfeasibleClientError, Topology, build_instance, topology_from_positions
+from .instance import InfeasibleClientError, Topology, build_instance, check_ap_count
+from .instance import topology_from_positions
 from .policies import jain_index, random_policy, rssi_policy
 
 if TYPE_CHECKING:  # imported at run time by the first Pipe(), never on the jobs=1 path
@@ -86,6 +87,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_aps < 1 or self.n_clients < 1 or self.slots < 1:
             raise ValueError("n_aps, n_clients and slots must be positive")
+        check_ap_count(self.n_aps)  # generate_topology allocates per AP
         if self.daa_iters < 1:
             raise ValueError("daa_iters must be positive")
         if not 0.0 < self.step_scale < math.inf:
@@ -152,8 +154,6 @@ class ExperimentResult:
     topology: Topology
     slots: list[SlotResult]
     aggregates: dict[str, float | int | None]
-    infeasible_slots: int
-    exact_skipped: int
 
 
 def generate_topology(cfg: ExperimentConfig, seed: int | None = None) -> Topology:
@@ -370,17 +370,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     bounds = [cfg.slots * k // workers for k in range(workers + 1)]
     results = _run_shares(cfg, topo, [range(a, b) for a, b in zip(bounds, bounds[1:])])
     agg = aggregate(cfg, results)
-    exact_skipped = (
-        agg["slots_feasible"] - agg["slots_with_exact"] if cfg.with_exact else 0
-    )
-    return ExperimentResult(
-        config=cfg,
-        topology=topo,
-        slots=results,
-        aggregates=agg,
-        infeasible_slots=agg["slots_infeasible"],
-        exact_skipped=exact_skipped,
-    )
+    return ExperimentResult(config=cfg, topology=topo, slots=results, aggregates=agg)
 
 
 def sweep(

@@ -9,7 +9,9 @@ references for the library's pair-array forms, plus the segmented-numpy
 form of the dual iteration and the numpy simplex projection, kept as
 bitwise references for the solver's padded-table loop, and the masked
 outer-product tableau simplex, kept as the bitwise reference for the LP
-relaxation's pivots.
+relaxation's pivots.  `candidates_of_client`, `clients_of_ap` and
+`pair_values` convert between the pair arrays and the per-client, per-AP
+and dict forms the tests state their expectations in.
 """
 
 from __future__ import annotations
@@ -155,6 +157,29 @@ def random_full_instance(
         (i, j): float(1.0 - rng.uniform()) for i in range(n) for j in range(m)
     }
     return instance_from_beta(n, m, beta)
+
+
+def candidates_of_client(x) -> tuple[tuple[int, ...], ...]:
+    """N_j of every client of a topology or instance, AP-ascending."""
+    cands: list[list[int]] = [[] for _ in range(x.n_clients)]
+    for i, j in zip(x.pairs.ap.tolist(), x.pairs.client.tolist()):
+        cands[j].append(i)
+    return tuple(tuple(sorted(c)) for c in cands)
+
+
+def clients_of_ap(x) -> tuple[tuple[int, ...], ...]:
+    """M_i of every AP of a topology or instance, client-ascending."""
+    clients: list[list[int]] = [[] for _ in range(x.n_aps)]
+    for i, j in zip(x.pairs.ap.tolist(), x.pairs.client.tolist()):
+        clients[i].append(j)
+    return tuple(tuple(sorted(c)) for c in clients)
+
+
+def pair_values(x, mapping: dict[tuple[int, int], float]) -> np.ndarray:
+    """The values of a dict keyed by (ap, client), as an array aligned with
+    the pairs of a topology or instance (KeyError for a pair it lacks)."""
+    keys = zip(x.pairs.ap.tolist(), x.pairs.client.tolist())
+    return np.array([mapping[key] for key in keys], dtype=float)
 
 
 def beta_dict(inst: Instance) -> dict[tuple[int, int], float]:
@@ -419,9 +444,7 @@ def ref_solve_lp_relaxation(inst: Instance) -> ExactResult:
     `ref_two_phase_simplex`, with the row duals of the final basis."""
     a_mat, b, c = _lp_matrix(inst)
     x, obj, basis, pivots = ref_two_phase_simplex(a_mat, b, c)
-    keys = zip(inst.pairs.ap.tolist(), inst.pairs.client.tolist())
-    fractional = dict(zip(keys, x[1 : 1 + inst.beta.size].tolist()))
     duals = np.linalg.solve(a_mat[:, basis].T, c[basis])
     return ExactResult(
-        optimal_value=obj, fractional=fractional, nodes_explored=pivots, duals=duals
+        optimal_value=obj, fractional=x[1 : 1 + inst.beta.size], nodes_explored=pivots, duals=duals
     )

@@ -14,7 +14,6 @@ from mmwassoc.channel import (
     compute_gain,
     compute_rate,
     default_params,
-    realize_link,
     snr_at_distance,
 )
 from mmwassoc.sim import ExperimentConfig
@@ -174,10 +173,12 @@ def test_params_validation():
         )
 
 
-def test_realize_link_consistency():
+def test_link_gain_and_rate_consistency():
+    # one faded link draw, as run_slot evaluates it: gain, then rate
     p = default_params()
-    link = realize_link(p, 3.7, 0.42)
-    assert link.gain == pytest.approx(compute_gain(p, 3.7, 0.42), rel=1e-12)
-    assert link.rate == pytest.approx(compute_rate(p, link.gain), rel=1e-12)
+    gain = compute_gain(p, 3.7, 0.42)
+    assert gain == pytest.approx(0.42 * compute_gain(p, 3.7, 1.0), rel=1e-12)
+    snr = p.tx_power * gain / (p.noise_density * p.bandwidth)
+    assert compute_rate(p, gain) == pytest.approx(p.bandwidth * math.log2(1.0 + snr), rel=1e-12)
     with pytest.raises(ValueError):
-        realize_link(p, 3.7, 0.0)
+        compute_gain(p, 3.7, 0.0)

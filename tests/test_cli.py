@@ -84,6 +84,7 @@ def test_solve_rejects_nonpositive_solver_settings(chain_file, tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err
     assert flag in err
+    assert "solver failed at --iters " in err and " --step-scale " in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
@@ -746,3 +747,78 @@ def test_verify_negative_seed_names_the_flag(tmp_path, capsys):
     assert main(["verify", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
     assert one_error_line(capsys.readouterr().err, "--seed")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, infeasible, skipped",
+    [
+        ({}, 0, 0),
+        ({"demand_max_bps": 1e16}, 3, 0),  # no link carries the demand
+        ({"with_exact": True, "exact_limit": 0.5}, 0, 3),  # every slot above the limit
+        ({"with_exact": True}, 0, 0),
+    ],
+    ids=["default", "oversized-demands", "exact-skipped", "exact"],
+)
+def test_experiment_summary_counts_infeasible_and_skipped_slots(
+    tmp_path, overrides, infeasible, skipped
+):
+    doc = {"n_aps": 2, "n_clients": 6, "slots": 3, "daa_iters": 20, **overrides}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads(next(out.glob("experiment_*.json")).read_text())
+    agg = summary["aggregates"]
+    assert (summary["infeasible_slots"], summary["exact_skipped"]) == (infeasible, skipped)
+    assert summary["infeasible_slots"] == agg["slots_infeasible"]
+    # with the oracle off no slot has an exact result, and none counts as skipped
+    if doc.get("with_exact"):
+        assert summary["exact_skipped"] == agg["slots_feasible"] - agg["slots_with_exact"]
+    else:
+        assert agg["slots_with_exact"] == 0
+
+
+OUT_ARGV = {
+    "solve": ["solve", str(FIXTURE), "--iters", "20"],
+    "experiment": ["experiment", "--config", "{config}"],
+    "sweep": ["sweep", "--config", "{config}", "--vary", "n_clients", "--values", "4"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", sorted(OUT_ARGV))
+def test_out_that_cannot_be_a_directory_exits_2(config_file, tmp_path, capsys, command, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if under else blocker
+    argv = [arg.format(config=config_file) for arg in OUT_ARGV[command]]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert one_error_line(err, f"error: cannot write {out}{os.sep}")
+    assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_config_with_too_many_aps_exits_2(tmp_path, capsys, command):
+    # 2**40 APs would ask generate_topology for an 8 TiB array
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_aps": 2**40, "n_clients": 6, "slots": 1, "daa_iters": 20}))
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4"]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = f"n_aps must lie in [1, 65536], got {2**40}"
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_records_too_many_aps_as_a_row_error(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(config_file), "--vary", "n_aps", "--values", f"2,{2**40}"]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("n_aps=2: p_daa=")
+    assert lines[1] == f"n_aps={2**40}: ValueError: n_aps must lie in [1, 65536], got {2**40}"

@@ -6,6 +6,7 @@ and a document the Python side rejects is rejected by the CLI too.
 """
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmwassoc import instance as instance_module
 from mmwassoc.channel import default_params
 from mmwassoc.cli import parse_experiment_config
 from mmwassoc.sim import ExperimentConfig, generate_topology
@@ -157,3 +159,23 @@ def test_python_config_applies_the_deployment_rules(field, value):
         kwargs = {"channel": replace(default_params(), **{field: value})}
     with pytest.raises(ValueError):
         ExperimentConfig(n_aps=2, n_clients=6, slots=1, daa_iters=20, **kwargs)
+
+
+@pytest.mark.parametrize("n_aps", [2**40, 3_000_000, 65_537])
+def test_config_takes_the_instance_ap_ceiling(n_aps):
+    # rejected before generate_topology allocates per AP (8 TiB at 2**40)
+    message = re.escape(f"n_aps must lie in [1, 65536], got {n_aps}")
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(n_aps=n_aps, n_clients=6, slots=1)
+    with pytest.raises(ValueError, match=message):
+        parse_experiment_config({"n_aps": n_aps, "n_clients": 6, "slots": 1})
+
+
+def test_config_ap_ceiling_follows_max_aps(monkeypatch):
+    monkeypatch.setattr(instance_module, "MAX_APS", 4)
+    doc = {"n_aps": 5, "n_clients": 6, "slots": 1, "daa_iters": 20}
+    with pytest.raises(ValueError, match=re.escape("n_aps must lie in [1, 4], got 5")):
+        parse_experiment_config(doc)
+    assert_same_config(doc)
+    assert_same_config({**doc, "n_aps": 4})
+    assert parse_experiment_config({**doc, "n_aps": 4}).n_aps == 4

@@ -13,7 +13,7 @@ from mmwassoc import dual_solver
 from mmwassoc.dual_solver import client_subproblem, dual_value, project_simplex, run_daa
 from mmwassoc.instance import instance_from_beta
 from mmwassoc.policies import rssi_policy
-from oracles import _ref_first_argmin, ref_project_simplex, ref_run_daa
+from oracles import _ref_first_argmin, candidates_of_client, ref_project_simplex, ref_run_daa
 
 utilizations = st.one_of(
     st.sampled_from([0.125, 0.25, 0.5, 1.0]),  # exact ties and the boundary
@@ -67,7 +67,7 @@ def test_run_daa_matches_reference_bitwise(inst, iters, step, data):
     # per client, its candidates' beta*price values, AP-ascending
     weighted = inst.pairs.per_client(inst.beta * prices[inst.pairs.ap])
     assert repr(dual_value(inst, prices)) == repr(float(np.sum([min(w) for w in weighted])))
-    for j, (cands, values) in enumerate(zip(inst.candidates_of_client, weighted)):
+    for j, (cands, values) in enumerate(zip(candidates_of_client(inst), weighted)):
         assert client_subproblem(inst, prices, j) == cands[values.index(min(values))]
 
 

@@ -29,6 +29,7 @@ from mmwassoc.instance import (
 from oracles import (
     beta_dict,
     brute_force,
+    candidates_of_client,
     random_full_instance,
     random_subset_instance,
     ref_pivot,
@@ -107,7 +108,7 @@ def test_bounded_enumeration_matches_brute_force_bitwise(inst):
 def test_enumeration_bounded_by_a_warm_start_matches_brute_force_bitwise(inst, data):
     # any map may warm-start, the first optimum itself (the tightest bound) too
     oracle_val, oracle_map = brute_force(inst)
-    drawn = tuple(data.draw(st.sampled_from(c)) for c in inst.candidates_of_client)
+    drawn = tuple(data.draw(st.sampled_from(c)) for c in candidates_of_client(inst))
     warm = make_assignment(inst, data.draw(st.sampled_from([oracle_map, drawn])))
     for result in (enumerate_assignments(inst, warm_start=warm), solve_milp_exact(inst, warm_start=warm)):
         assert repr(result.optimal_value) == repr(oracle_val)
@@ -121,7 +122,8 @@ def test_enumeration_returns_first_optimum_when_greedy_ties_later():
     inst = instance_from_beta(
         2, 2, {(0, 0): 0.25, (1, 0): 0.25, (0, 1): 0.5, (1, 1): 0.5}
     )
-    assert _greedy_incumbent(inst) == ([1, 0], 0.5)
+    greedy = _greedy_incumbent(inst)
+    assert (greedy.ap_of_client, greedy.objective) == ((1, 0), 0.5)
     result = enumerate_assignments(inst)
     assert result.optimal_value == 0.5
     assert result.assignment.ap_of_client == (0, 1)
@@ -267,14 +269,16 @@ def test_lp_solution_is_feasible_point():
     rng = np.random.default_rng(31)
     inst = random_subset_instance(rng)
     lp = solve_lp_relaxation(inst)
-    for j, cands in enumerate(inst.candidates_of_client):
-        total = sum(lp.fractional[(i, j)] for i in cands)
+    assert lp.fractional.shape == inst.beta.shape
+    beta = beta_dict(inst)  # keyed by (ap, client) in pair order
+    fractional = dict(zip(beta, lp.fractional.tolist()))
+    for j, cands in enumerate(candidates_of_client(inst)):
+        total = sum(fractional[(i, j)] for i in cands)
         assert total == pytest.approx(1.0, abs=1e-8)
-    for value in lp.fractional.values():
+    for value in fractional.values():
         assert -1e-9 <= value <= 1.0 + 1e-9
-    beta = beta_dict(inst)
     loads = np.zeros(inst.n_aps)
-    for (i, j), x in lp.fractional.items():
+    for (i, j), x in fractional.items():
         loads[i] += beta[(i, j)] * x
     assert loads.max() <= lp.optimal_value + 1e-8
 
@@ -322,7 +326,8 @@ def assert_same_lp(inst):
     certifies itself by complementary slackness."""
     new, ref = solve_lp_relaxation(inst), ref_solve_lp_relaxation(inst)
     assert repr(new.optimal_value) == repr(ref.optimal_value)
-    assert repr(new.fractional) == repr(ref.fractional)
+    assert new.fractional.dtype == ref.fractional.dtype
+    assert new.fractional.tobytes() == ref.fractional.tobytes()
     assert new.duals.dtype == ref.duals.dtype and new.duals.tobytes() == ref.duals.tobytes()
     assert new.nodes_explored == ref.nodes_explored
     assert lp_cs_residual(inst, new) <= 1e-8

@@ -25,6 +25,9 @@ from oracles import (
     beta_dict,
     brute_force,
     brute_force_unpruned,
+    candidates_of_client,
+    clients_of_ap,
+    pair_values,
     random_subset_instance,
     same_instance,
 )
@@ -41,11 +44,11 @@ def two_ap_topology():
 
 def test_topology_candidate_sets_and_consistency():
     topo = two_ap_topology()
-    assert topo.candidates_of_client == ((0, 1), (0,), (1,))
-    assert topo.clients_of_ap == ((0, 1), (0, 2))
-    for j, cands in enumerate(topo.candidates_of_client):
+    assert candidates_of_client(topo) == ((0, 1), (0,), (1,))
+    assert clients_of_ap(topo) == ((0, 1), (0, 2))
+    for j, cands in enumerate(candidates_of_client(topo)):
         for i in cands:
-            assert j in topo.clients_of_ap[i]
+            assert j in clients_of_ap(topo)[i]
 
 
 def test_topology_rejects_isolated_client():
@@ -55,24 +58,24 @@ def test_topology_rejects_isolated_client():
 
 def test_build_keeps_unit_utilization_pair():
     topo = two_ap_topology()
-    rates = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0, (1, 2): 5.0}
+    rates = pair_values(topo, {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0, (1, 2): 5.0})
     inst = build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
     assert beta_dict(inst)[(1, 0)] == 1.0  # boundary kept
-    assert inst.candidates_of_client[0] == (0, 1)
+    assert candidates_of_client(inst)[0] == (0, 1)
 
 
 def test_build_prunes_overloaded_pair_both_directions():
     topo = two_ap_topology()
-    rates = {(0, 0): 2.0, (1, 0): 0.5, (0, 1): 5.0, (1, 2): 5.0}
+    rates = pair_values(topo, {(0, 0): 2.0, (1, 0): 0.5, (0, 1): 5.0, (1, 2): 5.0})
     inst = build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
     assert (1, 0) not in beta_dict(inst)
-    assert inst.candidates_of_client[0] == (0,)
-    assert inst.clients_of_ap[1] == (2,)
+    assert candidates_of_client(inst)[0] == (0,)
+    assert clients_of_ap(inst)[1] == (2,)
 
 
 def test_build_raises_when_client_loses_every_candidate():
     topo = two_ap_topology()
-    rates = {(0, 0): 0.4, (1, 0): 0.3, (0, 1): 5.0, (1, 2): 5.0}
+    rates = pair_values(topo, {(0, 0): 0.4, (1, 0): 0.3, (0, 1): 5.0, (1, 2): 5.0})
     with pytest.raises(InfeasibleClientError) as err:
         build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
     assert "client 0" in str(err.value)
@@ -97,30 +100,33 @@ def test_infeasible_client_error_survives_pickling(reason):
     assert (copy.client, copy.reason, str(copy)) == (3, reason, str(original))
 
 
-def test_build_requires_exact_pair_cover():
+def test_build_requires_one_rate_per_pair():
     topo = two_ap_topology()
-    rates = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0}
-    with pytest.raises(ValueError, match="missing"):
-        build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
-    rates = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0, (1, 2): 5.0, (0, 2): 5.0}
-    with pytest.raises(ValueError, match="unexpected"):
-        build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
+    rates = [2.0, 1.0, 5.0, 5.0]  # the four pairs, client-major
+    rule = re.escape("link_rates must hold one rate per topology pair: expected 4, got")
+    with pytest.raises(ValueError, match=rule + " 3"):
+        build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates[:3])
+    with pytest.raises(ValueError, match=rule + " 5"):
+        build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates + [5.0])
+    with pytest.raises(ValueError, match="one demand per client"):
+        build_instance(topo, demands=[1.0, 1.0], link_rates=rates)
 
 
 def test_build_validates_positivity():
     topo = two_ap_topology()
     rates = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0, (1, 2): 5.0}
     with pytest.raises(ValueError, match="demand"):
-        build_instance(topo, demands=[1.0, 0.0, 1.0], link_rates=rates)
+        build_instance(topo, demands=[1.0, 0.0, 1.0], link_rates=pair_values(topo, rates))
+    zero = pair_values(topo, {**rates, (0, 1): 0.0})
     with pytest.raises(ValueError, match="rate"):
-        build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates={**rates, (0, 1): 0.0})
+        build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=zero)
 
 
 def test_utilization_equals_demand_over_rate():
     topo = two_ap_topology()
     rates = {(0, 0): 3.0, (1, 0): 7.0, (0, 1): 11.0, (1, 2): 13.0}
     demands = [2.0, 5.0, 9.0]
-    inst = build_instance(topo, demands, rates)
+    inst = build_instance(topo, demands, pair_values(topo, rates))
     for (i, j), b in beta_dict(inst).items():
         assert b == pytest.approx(demands[j] / rates[(i, j)], rel=1e-12)
 
@@ -188,7 +194,7 @@ def test_example2_matches_brute_force():
 def test_assignment_objective_recomputes():
     rng = np.random.default_rng(23)
     inst = random_subset_instance(rng)
-    choice = [cands[0] for cands in inst.candidates_of_client]
+    choice = [cands[0] for cands in candidates_of_client(inst)]
     a = make_assignment(inst, choice)
     assert a.objective == pytest.approx(per_ap_loads(inst, choice).max(), abs=1e-12)
     with pytest.raises(ValueError):
@@ -236,13 +242,17 @@ def test_candidate_sets_sorted_and_consistent_after_pruning():
     rng = np.random.default_rng(41)
     for _ in range(10):
         inst = random_subset_instance(rng)
-        for j, cands in enumerate(inst.candidates_of_client):
+        # the helpers sort: the pairs' own order must agree
+        assert list(candidates_of_client(inst)) == [
+            tuple(inst.pairs.ap[inst.pairs.client == j].tolist()) for j in range(inst.n_clients)
+        ]
+        for j, cands in enumerate(candidates_of_client(inst)):
             assert list(cands) == sorted(cands)
             for i in cands:
-                assert j in inst.clients_of_ap[i]
-        for i, clients in enumerate(inst.clients_of_ap):
+                assert j in clients_of_ap(inst)[i]
+        for i, clients in enumerate(clients_of_ap(inst)):
             for j in clients:
-                assert i in inst.candidates_of_client[j]
+                assert i in candidates_of_client(inst)[j]
 
 
 def edited_chain_document(path, value):
@@ -305,34 +315,37 @@ def test_assemble_requires_finite_positive_values():
     topo = two_ap_topology()
     rates = {(0, 0): 2.0, (1, 0): 1.0, (0, 1): 5.0, (1, 2): 5.0}
     rule = re.escape("demand, rate and beta of pair (0, 0) must be finite and positive")
+    infinite = pair_values(topo, {**rates, (0, 0): math.inf})
+    huge = pair_values(topo, {**rates, (0, 0): 1e300, (1, 0): 1e300})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rule):
-            build_instance(topo, [1.0, 1.0, 1.0], {**rates, (0, 0): math.inf})
+            build_instance(topo, [1.0, 1.0, 1.0], infinite)
         with pytest.raises(ValueError, match=rule):
-            build_instance(topo, [math.nan, 1.0, 1.0], rates)
+            build_instance(topo, [math.nan, 1.0, 1.0], pair_values(topo, rates))
         with pytest.raises(ValueError, match=rule):
             instance_from_beta(1, 1, {(0, 0): 0.5}, demands=[math.inf])
         with pytest.raises(ValueError, match=rule):
             instance_from_beta(1, 1, {(0, 0): math.nan})
         # 1e-300 / 1e300 underflows to a zero utilization
         with pytest.raises(ValueError, match=rule):
-            build_instance(topo, [1e-300, 1.0, 1.0], {**rates, (0, 0): 1e300, (1, 0): 1e300})
+            build_instance(topo, [1e-300, 1.0, 1.0], huge)
 
 
 def test_build_prunes_zero_rate_pairs_like_overloaded_ones():
     topo = two_ap_topology()
     rates = {(0, 0): 2.0, (1, 0): 0.0, (0, 1): 5.0, (1, 2): 5.0}
+    zero, negative = (pair_values(topo, {**rates, (0, 0): r}) for r in (0.0, -1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inst = build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=rates)
+        inst = build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=pair_values(topo, rates))
         assert (1, 0) not in beta_dict(inst)
-        assert inst.candidates_of_client == ((0,), (0,), (1,))
+        assert candidates_of_client(inst) == ((0,), (0,), (1,))
         with pytest.raises(InfeasibleClientError, match="pruned") as err:
-            build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates={**rates, (0, 0): 0.0})
+            build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=zero)
         assert err.value.client == 0
         with pytest.raises(ValueError, match="must be finite and positive"):
-            build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates={**rates, (0, 0): -1.0})
+            build_instance(topo, demands=[1.0, 1.0, 1.0], link_rates=negative)
 
 
 def test_json_rejects_a_zero_rate():

@@ -5,8 +5,8 @@ from scipy.stats import chisquare
 from mmwassoc.channel import compute_gain, default_params
 from mmwassoc.dual_solver import subgradient
 from mmwassoc.instance import instance_from_beta, make_assignment
-from mmwassoc.policies import jain_index, objective_value, random_policy, rssi_policy
-from oracles import beta_dict, brute_force, random_subset_instance
+from mmwassoc.policies import jain_index, random_policy, rssi_policy
+from oracles import beta_dict, brute_force, pair_values, random_subset_instance
 
 
 def test_random_policy_deterministic_given_seed():
@@ -46,7 +46,7 @@ def test_random_policy_uniform_chi_square():
 
 def test_rssi_tie_goes_to_smallest_index():
     inst = instance_from_beta(2, 1, {(0, 0): 0.3, (1, 0): 0.4})
-    a = rssi_policy(inst, {(0, 0): 1e-6, (1, 0): 1e-6})
+    a = rssi_policy(inst, pair_values(inst, {(0, 0): 1e-6, (1, 0): 1e-6}))
     assert a.ap_of_client == (0,)
 
 
@@ -58,13 +58,15 @@ def test_rssi_prefers_nearer_ap_all_else_equal():
         (0, 0): p.tx_power * compute_gain(p, 4.0, 1.0),
         (1, 0): p.tx_power * compute_gain(p, 2.0, 1.0),
     }
-    assert rssi_policy(inst, powers).ap_of_client == (1,)
+    assert rssi_policy(inst, pair_values(inst, powers)).ap_of_client == (1,)
 
 
-def test_rssi_requires_powers_on_candidate_pairs():
+def test_rssi_requires_one_power_per_pair():
     inst = instance_from_beta(2, 1, {(0, 0): 0.3, (1, 0): 0.4})
-    with pytest.raises(ValueError, match="missing"):
-        rssi_policy(inst, {(0, 0): 1.0})
+    for powers in ([1.0], [1.0, 2.0, 3.0]):
+        rule = f"need 2 received powers, one per pair, got {len(powers)}"
+        with pytest.raises(ValueError, match=rule):
+            rssi_policy(inst, np.array(powers))
 
 
 def test_rssi_is_load_blind_on_clustered_clients():
@@ -77,7 +79,7 @@ def test_rssi_is_load_blind_on_clustered_clients():
         powers[(0, j)] = 2.0
         powers[(1, j)] = 1.0
     inst = instance_from_beta(2, 10, beta)
-    rssi = rssi_policy(inst, powers)
+    rssi = rssi_policy(inst, pair_values(inst, powers))
     assert rssi.ap_of_client == (0,) * 10
     assert rssi.objective == pytest.approx(1.0, abs=1e-12)
     optimum, _ = brute_force(inst)
@@ -129,10 +131,10 @@ def test_jain_invariant_under_ap_relabeling():
 def test_objective_value_examples():
     inst = instance_from_beta(2, 2, {(0, 0): 0.3, (0, 1): 0.2, (1, 1): 0.9})
     a = make_assignment(inst, [0, 0])
-    assert objective_value(inst, a) == pytest.approx(0.5, abs=1e-12)  # AP 1 empty
+    assert a.objective == pytest.approx(0.5, abs=1e-12)  # AP 1 empty
     single_ap = instance_from_beta(1, 3, {(0, 0): 0.1, (0, 1): 0.2, (0, 2): 0.3})
     full = make_assignment(single_ap, [0, 0, 0])
-    assert objective_value(single_ap, full) == pytest.approx(0.6, abs=1e-12)
+    assert full.objective == pytest.approx(0.6, abs=1e-12)
 
 
 def test_objective_matches_subgradient_sup_norm():
@@ -140,4 +142,6 @@ def test_objective_matches_subgradient_sup_norm():
     inst = random_subset_instance(rng)
     a = random_policy(inst, 9)
     u = subgradient(inst, a)
-    assert objective_value(inst, a) == pytest.approx(np.abs(u).max(), abs=1e-12)
+    assert make_assignment(inst, a.ap_of_client).objective == pytest.approx(
+        np.abs(u).max(), abs=1e-12
+    )

@@ -19,7 +19,7 @@ from mmwassoc.sim import (
     run_slot,
     sweep,
 )
-from oracles import lens_over_union
+from oracles import candidates_of_client, lens_over_union
 
 
 def small_cfg(**overrides):
@@ -35,7 +35,7 @@ def test_single_ap_topology_covers_everyone():
     assert topo.radius == pytest.approx(radius, rel=1e-12)
     dists = np.hypot(*(topo.client_positions - topo.ap_positions[0]).T)
     assert dists.max() <= radius
-    assert topo.candidates_of_client == ((0,),) * 200
+    assert candidates_of_client(topo) == ((0,),) * 200
 
 
 def test_ap_spacing_follows_config():
@@ -50,7 +50,7 @@ def test_two_cell_overlap_fraction_matches_lens_area():
     cfg = small_cfg(n_aps=2, n_clients=100_000)
     topo = generate_topology(cfg)
     expected = lens_over_union(topo.radius, 1.1 * topo.radius)
-    overlap = sum(len(c) == 2 for c in topo.candidates_of_client) / topo.n_clients
+    overlap = sum(len(c) == 2 for c in candidates_of_client(topo)) / topo.n_clients
     assert overlap == pytest.approx(expected, rel=0.02)
 
 
@@ -253,7 +253,6 @@ def test_vanishing_demands_drive_objectives_to_zero():
 def test_oversized_demands_are_counted_not_averaged():
     cfg = small_cfg(demand_max=1e16, slots=5)
     res = run_experiment(cfg)
-    assert res.infeasible_slots == 5
     assert res.aggregates["slots_infeasible"] == 5
     assert res.aggregates["p_daa"] is None
 
@@ -295,7 +294,7 @@ def test_exact_auto_disabled_above_limit():
     cfg = small_cfg(n_aps=3, n_clients=15, slots=2, with_exact=True, exact_limit=0.5)
     res = run_experiment(cfg)
     assert all(s.p_exact is None for s in res.slots if s.feasible)
-    assert res.exact_skipped == res.aggregates["slots_feasible"]
+    assert res.aggregates["slots_with_exact"] == 0 < res.aggregates["slots_feasible"]
 
 
 def test_gap_certificate_holds_per_slot():
