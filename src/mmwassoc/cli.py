@@ -133,12 +133,21 @@ def _read_json(path: str | Path):
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
 
+def _make_parent(path: Path) -> Path:
+    """Make the directory of output file `path` and return `path`; an OSError
+    becomes a ValueError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names a file, or a path under one
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def _write_text(path: Path, text: str) -> None:
     """Write `text` to `path`, making its directory; an OSError becomes a ValueError naming it."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-    except OSError as exc:  # e.g. --out names a file, or a path under one
+        _make_parent(path).write_text(text)
+    except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
@@ -191,7 +200,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     chash = config_hash(resolved)
     try:
-        report = run_daa(inst, max_iters=args.iters, step_scale=args.step_scale, trace=args.trace)
+        report = run_daa(inst, max_iters=args.iters, step_scale=args.step_scale)
     except ValueError as exc:
         flags = f"--iters {args.iters} --step-scale {args.step_scale!r}"
         raise ValueError(f"solver failed at {flags}: {exc}") from exc
@@ -251,13 +260,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _check_jobs(args)
     cfg, resolved = _load_experiment_config(args)
     chash = config_hash({**resolved, "command": "experiment"})
+    csv_path = _make_parent(out / f"experiment_{chash}.csv")  # a bad --out fails before a slot runs
     try:
         result = run_experiment(cfg, jobs=args.jobs)
     except (GeometryError, WorkerError, ValueError) as exc:  # InfeasibleClientError is a ValueError
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return 1
-    csv_text = f"# config_hash={chash}\n" + slots_csv(result)
-    _write_text(out / f"experiment_{chash}.csv", csv_text)
+    _write_text(csv_path, f"# config_hash={chash}\n" + slots_csv(result))
     agg = result.aggregates
     summary = {
         "config_hash": chash,
@@ -286,6 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     chash = config_hash(
         {**resolved, "command": "sweep", "vary": args.vary, "values": values}
     )
+    csv_path = _make_parent(out / f"sweep_{chash}.csv")  # a bad --out fails before a cell runs
     rows = sweep(cfg, args.vary, values, jobs=args.jobs)
     columns = ["parameter", "value"] + sorted(
         {k for row in rows for k in row if k not in ("parameter", "value")}
@@ -293,7 +303,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [f"# config_hash={chash}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    _write_text(out / f"sweep_{chash}.csv", "\n".join(lines) + "\n")
+    _write_text(csv_path, "\n".join(lines) + "\n")
     _write_manifest(out, "sweep", str(args.config), chash)
     for row in rows:
         status = row["error"] or f"p_daa={_fmt(row.get('p_daa'))}"

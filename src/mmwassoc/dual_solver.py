@@ -51,15 +51,28 @@ _MEMO_CELLS = 1 << 16
 
 @dataclass
 class SolveReport:
-    """Outcome of a solver run: certified dual/primal values and the gap."""
+    """Outcome of a solver run: each iteration's dual value g_k and feasible
+    objective t_k, and the best assignment seen."""
 
-    iterations_run: int
-    dual_value: float  # best dual objective seen
-    primal_value: float  # best feasible max-utilization seen
+    duals: list[float]
+    primals: list[float]
     assignment: Assignment
-    gap_certificate: float  # primal_value - dual_value, always >= 0
-    per_iteration_trace: list[tuple[int, float, float, float, float]] | None = None
-    price_trace: list[np.ndarray] | None = None
+    dual_value: float  # max(duals), the best dual objective seen
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.duals)
+
+    @property
+    def primal_value(self) -> float:
+        """The best feasible max-utilization seen, min(primals)."""
+        return self.assignment.objective
+
+    @property
+    def gap_certificate(self) -> float:
+        # summation rounding can push the dual a few ulps past an exactly
+        # optimal primal; the certificate is still a width, never negative
+        return max(0.0, self.primal_value - self.dual_value)
 
 
 @dataclass
@@ -149,13 +162,7 @@ def _project(v: list[float]) -> list[float]:
     return [x - theta if x > theta else 0.0 for x in v]
 
 
-def run_daa(
-    inst: Instance,
-    max_iters: int,
-    step_scale: float = 1.0,
-    trace: bool = False,
-    collect_prices: bool = False,
-) -> SolveReport:
+def run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> SolveReport:
     """Projected-subgradient dual ascent with primal recovery.
 
     Prices start uniform; iteration k solves all client subproblems, records
@@ -183,7 +190,6 @@ def run_daa(
     row_starts = np.arange(0, tables.size, width).reshape(block, n_clients)
     views = list(zip(tables, cols))  # one (weighted table, chosen columns) per iteration
     prices = [1.0 / n_aps] * n_aps
-    price_rows: list[np.ndarray] | None = [] if collect_prices else None
     # The next prices need only the loads of the clients' choices.  The dual
     # value g_k is a certificate the recursion never reads, so the loop keeps
     # each iteration's weighted table and chosen columns, and sums a whole
@@ -198,10 +204,7 @@ def run_daa(
 
     for first in range(1, max_iters + 1, block):
         for k, (w, c) in zip(range(first, min(first + block, max_iters + 1)), views):
-            price_array = np.array(prices)
-            if price_rows is not None:
-                price_rows.append(price_array)
-            np.multiply(beta, price_array.take(ap), out=w)
+            np.multiply(beta, np.array(prices).take(ap), out=w)
             key = w.argmin(axis=1, out=c).tobytes()
             entry = memo.get(key)
             if entry is None:
@@ -224,40 +227,14 @@ def run_daa(
         chosen = row_starts[:done] + cols[:done]
         duals += np.add.reduce(tables.take(chosen), axis=1).tolist()
 
-    # weak duality keeps every g_k below every t_k, so best_dual <= best_primal
-    best_dual = max(duals)
-    trace_rows: list[tuple[int, float, float, float, float]] | None = None
-    if trace:
-        trace_rows = []
-        running_dual, running_primal = -math.inf, math.inf
-        for k, (g, t_k) in enumerate(zip(duals, primals), 1):
-            if g > running_dual:
-                running_dual = g
-            if t_k < running_primal:
-                running_primal = t_k
-            trace_rows.append((k, g, t_k, running_dual, running_primal))
     best_chosen = ap.take(row + np.frombuffer(best_key, dtype=np.intp))
     assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
-    # summation rounding can push the dual a few ulps past an exactly optimal
-    # primal; the certificate is still a width, never negative
-    gap = max(0.0, best_primal - best_dual)
-    return SolveReport(
-        iterations_run=max_iters,
-        dual_value=best_dual,
-        primal_value=best_primal,
-        assignment=assignment,
-        gap_certificate=gap,
-        per_iteration_trace=trace_rows,
-        price_trace=price_rows,
-    )
+    # weak duality keeps every g_k below every t_k, so max(duals) <= best_primal
+    return SolveReport(duals, primals, assignment, max(duals))
 
 
 def run_daa_distributed(
-    inst: Instance,
-    max_iters: int,
-    step_scale: float = 1.0,
-    trace: bool = False,
-    collect_prices: bool = False,
+    inst: Instance, max_iters: int, step_scale: float = 1.0
 ) -> DistributedRun:
     """Message-passing staging of the same iteration, with signalling counts.
 
@@ -268,7 +245,7 @@ def run_daa_distributed(
     its signalling clients locally, and AP 1 acts as coordinator: it gathers
     the u components, projects, and redistributes the new prices.
     """
-    report = run_daa(inst, max_iters, step_scale, trace, collect_prices)
+    report = run_daa(inst, max_iters, step_scale)
     messages = MessageCounts(
         broadcasts=inst.n_aps * max_iters,
         client_signals=inst.n_clients * max_iters,
@@ -309,10 +286,11 @@ def duality_gap_bound(inst: Instance) -> float:
 
 
 def trace_csv_lines(report: SolveReport) -> list[str]:
-    """Per-iteration trace as CSV lines (header + one row per iteration)."""
-    if report.per_iteration_trace is None:
-        raise ValueError("report carries no trace; run the solver with trace=True")
+    """Per-iteration trace as CSV lines (header + one row per iteration),
+    each row with the running best dual and primal values."""
     lines = [",".join(TRACE_COLUMNS)]
-    for k, g, t_k, g_best, p_best in report.per_iteration_trace:
+    g_best, p_best = -math.inf, math.inf
+    for k, (g, t_k) in enumerate(zip(report.duals, report.primals), 1):
+        g_best, p_best = max(g_best, g), min(p_best, t_k)
         lines.append(f"{k},{g!r},{t_k!r},{g_best!r},{p_best!r}")
     return lines

@@ -315,7 +315,7 @@ def _mean(values: Sequence[float]) -> float | None:
     return float(np.mean(values)) if values else None
 
 
-def aggregate(cfg: ExperimentConfig, results: Sequence[SlotResult]) -> dict:
+def aggregate(results: Sequence[SlotResult]) -> dict:
     """Arithmetic means over the feasible slots (exact metrics over the slots
     where the oracle actually ran)."""
     feasible = [r for r in results if r.feasible]
@@ -369,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     workers = min(jobs, cfg.slots, os.cpu_count() or 1)
     bounds = [cfg.slots * k // workers for k in range(workers + 1)]
     results = _run_shares(cfg, topo, [range(a, b) for a, b in zip(bounds, bounds[1:])])
-    agg = aggregate(cfg, results)
+    agg = aggregate(results)
     return ExperimentResult(config=cfg, topology=topo, slots=results, aggregates=agg)
 
 

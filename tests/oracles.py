@@ -11,18 +11,22 @@ bitwise references for the solver's padded-table loop, and the masked
 outer-product tableau simplex, kept as the bitwise reference for the LP
 relaxation's pivots.  `candidates_of_client`, `clients_of_ap` and
 `pair_values` convert between the pair arrays and the per-client, per-AP
-and dict forms the tests state their expectations in.
+and dict forms the tests state their expectations in.  `recording` captures
+the price vectors a dual loop projects, which its report does not keep, and
+`trace_rows` reads a report's trace CSV back as numbers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 
-from mmwassoc.dual_solver import SolveReport
+from mmwassoc.dual_solver import SolveReport, trace_csv_lines
 from mmwassoc.exact import ExactResult, _lp_matrix
 from mmwassoc.instance import Assignment, InfeasibleClientError, Instance, instance_from_beta
 
@@ -338,22 +342,14 @@ def _ref_iterate_subproblems(
     return chosen_ap, loads, g, -loads
 
 
-def ref_run_daa(
-    inst: Instance,
-    max_iters: int,
-    step_scale: float = 1.0,
-    trace: bool = False,
-    collect_prices: bool = False,
-) -> SolveReport:
+def ref_run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> SolveReport:
     """The dual loop on flat pair arrays, one numpy projection per iteration."""
     prices = np.full(inst.n_aps, 1.0 / inst.n_aps)
     best_dual, best_primal = -math.inf, math.inf
     best_assignment: tuple[int, ...] = ()
-    trace_rows: list | None = [] if trace else None
-    price_rows: list | None = [] if collect_prices else None
+    duals: list[float] = []
+    primals: list[float] = []
     for k in range(1, max_iters + 1):
-        if price_rows is not None:
-            price_rows.append(prices.copy())
         chosen_ap, loads, g, u = _ref_iterate_subproblems(inst, prices)
         t_k = float(loads.max(initial=0.0))
         if t_k < best_primal:
@@ -361,18 +357,33 @@ def ref_run_daa(
             best_assignment = tuple(int(i) for i in chosen_ap)
         if g > best_dual:
             best_dual = g
-        if trace_rows is not None:
-            trace_rows.append((k, g, t_k, best_dual, best_primal))
+        duals.append(g)
+        primals.append(t_k)
         prices = ref_project_simplex(prices - (step_scale / k) * u)
-    return SolveReport(
-        iterations_run=max_iters,
-        dual_value=best_dual,
-        primal_value=best_primal,
-        assignment=Assignment(ap_of_client=best_assignment, objective=best_primal),
-        gap_certificate=max(0.0, best_primal - best_dual),
-        per_iteration_trace=trace_rows,
-        price_trace=price_rows,
-    )
+    assignment = Assignment(ap_of_client=best_assignment, objective=best_primal)
+    return SolveReport(duals, primals, assignment, best_dual)
+
+
+def trace_rows(report: SolveReport) -> list[tuple[int, float, float, float, float]]:
+    """The rows of `trace_csv_lines(report)` parsed: (k, g_k, t_k, g_best, p_best)."""
+    rows = (line.split(",") for line in trace_csv_lines(report)[1:])
+    return [(int(k), *map(float, values)) for k, *values in rows]
+
+
+@contextmanager
+def recording(module, name: str):
+    """Patch `module.name`, a function the solvers look up at call time, with
+    a wrapper that appends each result, as an array, to the list yielded."""
+    results: list[np.ndarray] = []
+    real = getattr(module, name)
+
+    def record(*args):
+        out = real(*args)
+        results.append(np.array(out))
+        return out
+
+    with mock.patch.object(module, name, record):
+        yield results
 
 
 _REF_RC_TOL = 1e-9  # reduced-cost tolerance

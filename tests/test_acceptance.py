@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from mmwassoc import dual_solver
 from mmwassoc.cli import slots_csv
 from mmwassoc.dual_solver import (
     convergence_bound,
@@ -27,7 +28,7 @@ from mmwassoc.exact import (
 )
 from mmwassoc.instance import example1_instance, example2_instance, instance_from_beta
 from mmwassoc.sim import ExperimentConfig, run_experiment
-from oracles import random_full_instance
+from oracles import random_full_instance, recording, trace_rows
 
 RELAXATION_SEED = 20240801
 
@@ -123,8 +124,8 @@ def test_criterion_4_convergence_bound():
     for _ in range(20):
         inst = random_full_instance(rng, n_lo=2, n_hi=4, m_lo=6, m_hi=15)
         d_star = solve_lp_relaxation(inst).optimal_value
-        report = run_daa(inst, max_iters=2000, step_scale=1.0, trace=True)
-        for k, _g, _t, g_best, _p in report.per_iteration_trace:
+        report = run_daa(inst, max_iters=2000, step_scale=1.0)
+        for k, _g, _t, g_best, _p in trace_rows(report):
             margin = convergence_bound(inst, 1.0, k) - (d_star - g_best)
             closest = min(closest, margin)
             if margin < -1e-9:
@@ -228,7 +229,7 @@ def test_criterion_8_property_suites(relaxation_instances):
     # oracle-checked instance (the solver's certificate and random prices)
     monotone_ok = weak_duality_ok = True
     for inst, _lp, _milp, _daa in relaxation_instances[:25]:
-        trace = run_daa(inst, max_iters=400, trace=True).per_iteration_trace
+        trace = trace_rows(run_daa(inst, max_iters=400))
         for prev_row, row in zip(trace, trace[1:]):
             if row[3] < prev_row[3] or row[4] > prev_row[4]:
                 monotone_ok = False
@@ -244,15 +245,16 @@ def test_criterion_8_property_suites(relaxation_instances):
     distributed_ok = True
     for _ in range(50):
         inst = random_full_instance(rng, n_lo=2, n_hi=5, m_lo=4, m_hi=12)
-        central = run_daa(inst, max_iters=120, trace=True, collect_prices=True)
-        dist = run_daa_distributed(inst, max_iters=120, trace=True, collect_prices=True)
-        if central.per_iteration_trace != dist.report.per_iteration_trace:
+        with recording(dual_solver, "_project") as central_prices:
+            central = run_daa(inst, max_iters=120)
+        with recording(dual_solver, "_project") as dist_prices:
+            dist = run_daa_distributed(inst, max_iters=120)
+        if trace_rows(central) != trace_rows(dist.report):
             distributed_ok = False
         if central.assignment != dist.report.assignment:
             distributed_ok = False
-        if not all(
-            np.array_equal(a, b)
-            for a, b in zip(central.price_trace, dist.report.price_trace)
+        if len(central_prices) != len(dist_prices) or not all(
+            np.array_equal(a, b) for a, b in zip(central_prices, dist_prices)
         ):
             distributed_ok = False
 

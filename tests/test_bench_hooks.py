@@ -3,7 +3,9 @@
 `bench/tracer.py`'s `Tracer.install` swaps module attributes of `cli`,
 `sim`, `dual_solver` and `exact` for timing wrappers.  Renaming or moving one
 of them would otherwise show only when the traced benchmark runs.  No
-experiment runs here.
+experiment runs here.  The per-layer counts are result attributes read by
+name, and a count that is not an int is dropped without an error, so a
+renamed attribute would make those figures read 0.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 from mmwassoc import cli, dual_solver, exact, sim
+from mmwassoc.instance import example1_instance
 
 TRACER = Path(__file__).parent.parent / "bench" / "tracer.py"
 MODULES = (cli, sim, dual_solver, exact)
@@ -41,3 +44,25 @@ def test_tracer_hooks_exist_and_are_restored(monkeypatch):
     for module, names in zip(MODULES, before):
         for attr, original in names.items():
             assert getattr(module, attr) is original, (module.__name__, attr)
+
+
+def test_tracer_counts_are_ints_read_from_the_results(monkeypatch):
+    inst = example1_instance(3, 0.5)
+    tracer = load_tracer(monkeypatch).Tracer()
+    try:
+        tracer.install(*MODULES)
+        sim.run_daa(inst, max_iters=7)
+        sim.solve_lp_relaxation(inst)
+        sim.solve_milp_exact(inst)  # enumerates
+        sim.solve_milp_exact(inst, enumeration_limit=1)  # branches and bounds
+    finally:
+        tracer.restore()
+    counts = {rec["name"]: rec["info"] for rec in tracer.spans if rec.get("info")}
+    assert counts["dual_solver.run_daa"] == {"iterations": 7}
+    for name, key in [
+        ("exact.solve_lp_relaxation", "pivots"),
+        ("exact.enumerate_assignments", "assignments"),
+        ("exact.branch_and_bound", "nodes"),
+    ]:
+        assert list(counts[name]) == [key]
+        assert type(counts[name][key]) is int and counts[name][key] >= 1, (name, counts[name])

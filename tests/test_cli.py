@@ -788,15 +788,25 @@ OUT_ARGV = {
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("command", sorted(OUT_ARGV))
-def test_out_that_cannot_be_a_directory_exits_2(config_file, tmp_path, capsys, command, under):
+def test_out_that_cannot_be_a_directory_exits_2(
+    config_file, tmp_path, capsys, monkeypatch, command, under
+):
     blocker = tmp_path / "blocker"
     blocker.write_text("kept\n")
     out = blocker / "out" if under else blocker
+    slots, run_slot = [], sim.run_slot
+
+    def counted_run_slot(cfg, topo, slot):
+        slots.append(slot)
+        return run_slot(cfg, topo, slot)
+
+    monkeypatch.setattr(sim, "run_slot", counted_run_slot)
     argv = [arg.format(config=config_file) for arg in OUT_ARGV[command]]
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert one_error_line(err, f"error: cannot write {out}{os.sep}")
     assert blocker.read_text() == "kept\n"
+    assert slots == []  # found before the first slot, not after the last
 
 
 @pytest.mark.parametrize("command", ["experiment", "sweep"])

@@ -9,11 +9,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mmwassoc import dual_solver
-from mmwassoc.dual_solver import client_subproblem, dual_value, project_simplex, run_daa
+from mmwassoc.dual_solver import (
+    client_subproblem,
+    dual_value,
+    project_simplex,
+    run_daa,
+    trace_csv_lines,
+)
 from mmwassoc.instance import instance_from_beta
 from mmwassoc.policies import rssi_policy
-from oracles import _ref_first_argmin, candidates_of_client, ref_project_simplex, ref_run_daa
+from oracles import (
+    _ref_first_argmin,
+    candidates_of_client,
+    recording,
+    ref_project_simplex,
+    ref_run_daa,
+)
 
 utilizations = st.one_of(
     st.sampled_from([0.125, 0.25, 0.5, 1.0]),  # exact ties and the boundary
@@ -35,19 +48,27 @@ def instances(draw):
     return instance_from_beta(n, m, beta)
 
 
-def assert_same_report(new, ref):
-    assert new.per_iteration_trace == ref.per_iteration_trace
-    assert [type(x) for row in new.per_iteration_trace for x in row] == [
-        type(x) for row in ref.per_iteration_trace for x in row
-    ]
-    assert len(new.price_trace) == len(ref.price_trace)
-    for a, b in zip(new.price_trace, ref.price_trace):
+def assert_same_report(inst, iters, step=1.0):
+    """Run the solver and the reference on the same input and compare them
+    bit for bit: the g_k and t_k series, the prices each iteration projects,
+    and the best assignment with its values.  Returns the solver's report."""
+    with recording(dual_solver, "_project") as prices:
+        new = run_daa(inst, iters, step_scale=step)
+    with recording(oracles, "ref_project_simplex") as ref_prices:
+        ref = ref_run_daa(inst, iters, step_scale=step)
+    for series in ("duals", "primals"):
+        values, expected = getattr(new, series), getattr(ref, series)
+        assert repr(values) == repr(expected)
+        assert [type(x) for x in values] == [type(x) for x in expected]
+    assert len(prices) == len(ref_prices) == iters
+    for a, b in zip(prices, ref_prices):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert new.assignment == ref.assignment
     assert type(new.assignment.ap_of_client) is tuple
     assert all(type(i) is int for i in new.assignment.ap_of_client)
     for attr in ("iterations_run", "dual_value", "primal_value", "gap_certificate"):
         assert repr(getattr(new, attr)) == repr(getattr(ref, attr))
+    return new
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -58,9 +79,7 @@ def assert_same_report(new, ref):
     st.data(),
 )
 def test_run_daa_matches_reference_bitwise(inst, iters, step, data):
-    new = run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
-    ref = ref_run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
-    assert_same_report(new, ref)
+    assert_same_report(inst, iters, step)
 
     price = st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0)
     prices = np.array(data.draw(st.lists(price, min_size=inst.n_aps, max_size=inst.n_aps)))
@@ -87,27 +106,21 @@ def block_size(inst):
     return dual_solver._BLOCK_CELLS // inst.pairs.table.size
 
 
-def assert_loop_matches_reference(inst, iters, step=1.0):
-    new = run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
-    ref = ref_run_daa(inst, iters, step_scale=step, trace=True, collect_prices=True)
-    assert_same_report(new, ref)
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_loop_spanning_several_blocks_matches_reference(seed):
     inst = random_instance(seed, n=5, m=300, d=3)
     assert 200 % block_size(inst) != 0  # the last block is partial
-    assert_loop_matches_reference(inst, 200)
+    assert_same_report(inst, 200)
 
 
 def test_loop_with_exactly_full_blocks_matches_reference():
     inst = random_instance(2, n=5, m=300, d=3)
-    assert_loop_matches_reference(inst, 2 * block_size(inst))
+    assert_same_report(inst, 2 * block_size(inst))
 
 
 @pytest.mark.parametrize("m", [1, 300])
 def test_single_iteration_matches_reference(m):
-    assert_loop_matches_reference(random_instance(3, n=4, m=m, d=2), 1)
+    assert_same_report(random_instance(3, n=4, m=m, d=2), 1)
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -115,31 +128,31 @@ def test_tied_instances_with_repeating_patterns_match_reference(seed):
     # few distinct utilizations: many exact ties, and choice patterns that
     # recur, some with equal t_k but different loads
     inst = random_instance(seed, n=3, m=40, d=2, values=[0.125, 0.25, 0.5])
-    assert_loop_matches_reference(inst, 150)
-    assert_loop_matches_reference(inst, 150, step=0.5)
+    assert_same_report(inst, 150)
+    assert_same_report(inst, 150, step=0.5)
 
 
 def test_symmetric_instance_with_mirrored_patterns_matches_reference():
     # both clients see both APs at equal utilization, so they always pick the
     # same AP: the patterns (0, 0) and (1, 1) tie on t_k, with mirrored loads
     inst = instance_from_beta(2, 2, {(0, 0): 0.5, (1, 0): 0.5, (0, 1): 0.25, (1, 1): 0.25})
-    assert_loop_matches_reference(inst, 60)
+    assert_same_report(inst, 60)
 
 
 @pytest.mark.parametrize("patterns", [0, 1, 3])
 def test_full_memo_computes_new_patterns_each_time(monkeypatch, patterns):
     inst = random_instance(8, n=3, m=40, d=2, values=[0.125, 0.25, 0.5])
     monkeypatch.setattr(dual_solver, "_MEMO_CELLS", patterns * inst.n_clients)
-    assert_loop_matches_reference(inst, 150)
+    assert_same_report(inst, 150)
 
 
 def test_zero_client_instance_over_several_iterations_matches_reference():
-    assert_loop_matches_reference(instance_from_beta(4, 0, {}), 70)
+    assert_same_report(instance_from_beta(4, 0, {}), 70)
 
 
 def test_more_clients_than_a_numpy_buffer_matches_reference():
     # 10,000 clients: above the 8,192 elements numpy reduces in one buffer
-    assert_loop_matches_reference(random_instance(7, n=5, m=10_000, d=3), 3)
+    assert_same_report(random_instance(7, n=5, m=10_000, d=3), 3)
 
 
 entries = st.one_of(
@@ -173,11 +186,11 @@ def test_project_simplex_rejects_entries_beyond_double_precision():
 
 def test_zero_client_instance_keeps_float_trace_rows():
     inst = instance_from_beta(3, 0, {})
-    report = run_daa(inst, 4, trace=True, collect_prices=True)
-    assert report.per_iteration_trace == [(k, 0.0, 0.0, 0.0, 0.0) for k in range(1, 5)]
-    assert all(type(x) is float for row in report.per_iteration_trace for x in row[1:])
+    report = assert_same_report(inst, 4)
+    assert report.duals == report.primals == [0.0] * 4
+    assert all(type(x) is float for x in report.duals + report.primals)
+    assert trace_csv_lines(report)[1:] == [f"{k},0.0,0.0,0.0,0.0" for k in range(1, 5)]
     assert report.assignment.ap_of_client == ()
-    assert_same_report(report, ref_run_daa(inst, 4, trace=True, collect_prices=True))
 
 
 @pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf])
@@ -238,5 +251,4 @@ def test_run_daa_matches_reference_around_block_ends(inst, cells, blocks, offset
     block = max(1, cells // max(1, inst.pairs.table.size))
     iters = max(1, blocks * block + offset)
     with mock.patch.object(dual_solver, "_BLOCK_CELLS", cells):
-        new = run_daa(inst, iters, trace=True, collect_prices=True)
-    assert_same_report(new, ref_run_daa(inst, iters, trace=True, collect_prices=True))
+        assert_same_report(inst, iters)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mmwassoc import dual_solver
 from mmwassoc.dual_solver import (
     client_subproblem,
     convergence_bound,
@@ -16,7 +19,15 @@ from mmwassoc.dual_solver import (
 )
 from mmwassoc.exact import solve_lp_relaxation
 from mmwassoc.instance import example1_instance, example2_instance, instance_from_beta, make_assignment
-from oracles import brute_force, projection_kkt_violation, random_full_instance, random_subset_instance
+from oracles import (
+    brute_force,
+    projection_kkt_violation,
+    random_full_instance,
+    random_subset_instance,
+    recording,
+    trace_rows,
+)
+from test_dual_reference import instances
 
 
 def pair_instance():
@@ -137,8 +148,8 @@ def test_run_daa_trace_sandwiches_brute_force_optimum():
     rng = np.random.default_rng(7)
     inst = random_full_instance(rng, n_lo=2, n_hi=2, m_lo=6, m_hi=6)
     p_star, _ = brute_force(inst)
-    report = run_daa(inst, max_iters=300, trace=True)
-    for _k, g, t_k, g_best, p_best in report.per_iteration_trace:
+    report = run_daa(inst, max_iters=300)
+    for _k, g, t_k, g_best, p_best in trace_rows(report):
         assert g <= p_star + 1e-9
         assert g_best <= p_star + 1e-9
         assert t_k >= p_star - 1e-12
@@ -148,8 +159,7 @@ def test_run_daa_trace_sandwiches_brute_force_optimum():
 def test_run_daa_monotone_best_values():
     rng = np.random.default_rng(11)
     inst = random_subset_instance(rng)
-    report = run_daa(inst, max_iters=500, trace=True)
-    trace = report.per_iteration_trace
+    trace = trace_rows(run_daa(inst, max_iters=500))
     for prev, cur in zip(trace, trace[1:]):
         assert cur[3] >= prev[3]  # g_best nondecreasing
         assert cur[4] <= prev[4]  # p_best nonincreasing
@@ -179,13 +189,15 @@ def test_distributed_matches_centralized_bitwise():
     rng = np.random.default_rng(29)
     for _ in range(8):
         inst = random_subset_instance(rng)
-        central = run_daa(inst, max_iters=150, trace=True, collect_prices=True)
-        dist = run_daa_distributed(inst, max_iters=150, trace=True, collect_prices=True)
-        assert central.per_iteration_trace == dist.report.per_iteration_trace
+        with recording(dual_solver, "_project") as central_prices:
+            central = run_daa(inst, max_iters=150)
+        with recording(dual_solver, "_project") as dist_prices:
+            dist = run_daa_distributed(inst, max_iters=150)
+        assert trace_rows(central) == trace_rows(dist.report)
         assert central.assignment == dist.report.assignment
-        assert len(central.price_trace) == len(dist.report.price_trace)
-        for a, b in zip(central.price_trace, dist.report.price_trace):
-            assert np.array_equal(a, b)
+        assert len(central_prices) == len(dist_prices) == 150
+        for a, b in zip(central_prices, dist_prices):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_distributed_message_counts():
@@ -227,8 +239,8 @@ def test_convergence_bound_dominates_dual_suboptimality():
     for _ in range(4):
         inst = random_full_instance(rng)
         d_star = solve_lp_relaxation(inst).optimal_value
-        report = run_daa(inst, max_iters=2000, step_scale=1.0, trace=True)
-        for k, _g, _t, g_best, _p in report.per_iteration_trace:
+        report = run_daa(inst, max_iters=2000, step_scale=1.0)
+        for k, _g, _t, g_best, _p in trace_rows(report):
             assert d_star - g_best <= convergence_bound(inst, 1.0, k) + 1e-9
 
 
@@ -249,13 +261,22 @@ def test_duality_gap_bound_certifies_random_instances():
         assert -1e-9 <= gap <= duality_gap_bound(inst) + 1e-9
 
 
-def test_trace_csv_lines_shape():
-    inst = example1_instance(2, 0.5)
-    report = run_daa(inst, max_iters=5, trace=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances(), st.integers(1, 60))
+@example(example1_instance(2, 0.5), 5)
+def test_trace_csv_lines_shape(inst, iters):
+    # the trace and the report's values derive from the g_k and t_k series
+    report = run_daa(inst, max_iters=iters)
     lines = trace_csv_lines(report)
     assert lines[0] == "k,g_lambda,t_k,g_best,p_best"
-    assert len(lines) == 6
-    assert lines[1].startswith("1,")
-    plain = run_daa(inst, max_iters=5)
-    with pytest.raises(ValueError):
-        trace_csv_lines(plain)
+    assert len(lines) == iters + 1
+    rows = trace_rows(report)
+    assert [k for k, *_ in rows] == list(range(1, iters + 1))
+    assert repr([g for _k, g, *_ in rows]) == repr(report.duals)
+    assert repr([t_k for _k, _g, t_k, *_ in rows]) == repr(report.primals)
+    for prev, cur in zip(rows, rows[1:]):
+        assert cur[3] >= prev[3] and cur[4] <= prev[4]
+    assert repr(rows[-1][3:]) == repr((report.dual_value, report.primal_value))
+    assert report.iterations_run == iters and type(report.iterations_run) is int
+    gap = max(0.0, report.primal_value - report.dual_value)
+    assert repr(report.gap_certificate) == repr(gap)

@@ -295,8 +295,7 @@ def test_lp_dominates_every_dual_trace_point():
     rng = np.random.default_rng(41)
     inst = random_full_instance(rng)
     p_relax = solve_lp_relaxation(inst).optimal_value
-    report = run_daa(inst, max_iters=400, trace=True)
-    for _k, g, *_ in report.per_iteration_trace:
+    for g in run_daa(inst, max_iters=400).duals:
         assert g <= p_relax + 1e-8
 
 

@@ -286,7 +286,7 @@ def test_aggregates_recompute_from_slots():
     assert res.aggregates["p_rssi"] == float(np.mean([s.p_rssi for s in feasible]))
     assert res.aggregates["jain_rand"] == float(np.mean([s.jain_rand for s in feasible]))
     assert res.aggregates["slots_feasible"] == len(feasible)
-    again = aggregate(cfg, res.slots)
+    again = aggregate(res.slots)
     assert repr(again) == repr(res.aggregates)
 
 
