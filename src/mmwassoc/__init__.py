@@ -21,14 +21,11 @@ from .dual_solver import (
     DistributedRun,
     MessageCounts,
     SolveReport,
-    client_subproblem,
     convergence_bound,
-    dual_value,
     duality_gap_bound,
     project_simplex,
     run_daa,
     run_daa_distributed,
-    subgradient,
 )
 from .exact import (
     ExactResult,
@@ -54,7 +51,7 @@ from .instance import (
     per_ap_loads,
     topology_from_positions,
 )
-from .policies import FairnessReport, jain_index, random_policy, rssi_policy
+from .policies import jain_index, random_policy, rssi_policy
 from .sim import (
     ExperimentConfig,
     ExperimentResult,

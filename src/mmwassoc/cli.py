@@ -175,7 +175,7 @@ def _check_stale(out: Path, command: str, chash: str) -> None:
     for old in sorted(out.glob(f"manifest_{command}_*.json")):
         recorded = json_object(_read_json(old), str(old)).get("config_hash")
         if recorded != chash:
-            raise SystemExit(
+            raise ValueError(
                 f"output directory {out} holds stale {command} results "
                 f"(config hash {recorded}, current {chash}); use a fresh directory"
             )
@@ -243,8 +243,7 @@ def _load_experiment_config(args: argparse.Namespace) -> tuple[ExperimentConfig,
         if args.exact:
             cfg = replace(cfg, with_exact=True, force_exact=True)
     except ValueError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
+        raise ValueError(f"invalid config: {exc}") from exc
     return cfg, asdict(cfg)
 
 
@@ -433,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bad input: a flag, or a document that cannot be read
+    except ValueError as exc:  # bad input: a flag, a document, or an unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NodeBudgetExceeded as exc:

@@ -16,19 +16,17 @@ rounds send.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Assignment, Instance, per_ap_loads
+from .instance import Assignment, Instance
 
 __all__ = [
     "SolveReport",
     "MessageCounts",
     "DistributedRun",
-    "client_subproblem",
-    "dual_value",
-    "subgradient",
     "project_simplex",
     "run_daa",
     "run_daa_distributed",
@@ -90,63 +88,15 @@ class DistributedRun:
     messages: MessageCounts
 
 
-def client_subproblem(inst: Instance, prices: np.ndarray, j: int) -> int:
-    """AP choice of one client at the given prices.
-
-    Returns argmin over the client's candidates of beta*price; ties go to
-    the smallest AP index.
-    """
-    prices = _checked_prices(inst, prices)
-    if not 0 <= j < inst.n_clients:
-        raise ValueError(f"client index {j} outside 0..{inst.n_clients - 1}")
-    weighted = inst.beta * prices[inst.pairs.ap]
-    return int(inst.pairs.ap[inst.pairs.first_argmin(weighted)[j]])
-
-
-def dual_value(inst: Instance, prices: np.ndarray) -> float:
-    """Dual objective at the given simplex prices: sum of per-client minima."""
-    weighted = inst.beta * _checked_prices(inst, prices)[inst.pairs.ap]
-    return float(np.add.reduce(weighted[inst.pairs.first_argmin(weighted)]))
-
-
-def _checked_prices(inst: Instance, prices) -> np.ndarray:
-    """`prices` as a float array of shape (N,), all finite, or ValueError."""
-    prices = np.asarray(prices, dtype=float)
-    if prices.shape != (inst.n_aps,) or not np.isfinite(prices).all():
-        raise ValueError(
-            f"prices must be {inst.n_aps} finite numbers, got shape {prices.shape}"
-        )
-    return prices
-
-
-def subgradient(inst: Instance, assignment: Assignment) -> np.ndarray:
-    """Per-AP subgradient component u_i = -(utilization of AP i) under the
-    assignment produced by the client subproblems."""
-    return -per_ap_loads(inst, assignment.ap_of_client)
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex.
+def project_simplex(v: Sequence[float]) -> list[float]:
+    """Euclidean projection onto the unit simplex (Duchi et al., ICML 2008).
 
     Sort-and-threshold rule: with the entries sorted descending, find the
     largest rho whose running mean excess stays below the entry, subtract
-    that threshold everywhere, and clamp at zero.  O(N log N).
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-D vector")
-    if not np.isfinite(v).all():
-        raise ValueError("entries must be finite")
-    return np.array(_project(v.tolist()))
-
-
-def _project(v: list[float]) -> list[float]:
-    """`project_simplex` on a list of Python floats, without its checks.
-
-    At a few APs a Python loop is cheaper than numpy calls.  The operations
-    and their order are numpy's (descending sort, sequential running sum),
-    so the result is the same to the bit.  An entry of +inf or beyond ~2**53
-    leaves no threshold and raises; the solver's entries are never NaN.
+    that threshold everywhere, and clamp at zero.  O(N log N), on Python
+    floats: at a few APs that beats numpy calls, and the operations and
+    their order are numpy's (descending sort, sequential running sum), so
+    the result is the same to the bit.  Empty, NaN or infinite input raises.
     """
     css = top = 0.0
     rho = 0
@@ -154,8 +104,10 @@ def _project(v: list[float]) -> list[float]:
         css += x
         if x * r > css - 1.0:
             rho, top = r, css
-    if not rho:  # x > x - 1.0 fails for every entry beyond ~2**53
+    if not rho:  # no entry, or x > x - 1.0 fails for every one beyond ~2**53
         raise ValueError("entries too large to project in double precision")
+    if not math.isfinite(css):  # a NaN or infinite entry, or an overflowing sum
+        raise ValueError("entries must be finite")
     theta = (top - 1.0) / rho
     # x - theta rounds to the exact difference's sign, and to +0.0 at x ==
     # theta: the clamp of np.maximum(x - theta, 0.0), which returns +0.0
@@ -222,7 +174,7 @@ def run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> SolveRep
                 best_primal, best_key = t_k, key
             # step along the subgradient u = -loads with size step_scale/k
             step = step_scale / k
-            prices = _project([p + step * y for p, y in zip(prices, loads)])
+            prices = project_simplex([p + step * y for p, y in zip(prices, loads)])
         done = k + 1 - first
         chosen = row_starts[:done] + cols[:done]
         duals += np.add.reduce(tables.take(chosen), axis=1).tolist()

@@ -2,27 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .instance import Assignment, Instance, make_assignment, per_ap_loads
 
 __all__ = [
-    "FairnessReport",
     "random_policy",
     "rssi_policy",
     "jain_index",
 ]
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    """Jain's fairness index over the per-AP loads of one assignment."""
-
-    index: float  # in [1/N, 1] whenever some load is positive
-    per_ap_load: np.ndarray
-    degenerate: bool = False  # all loads zero; index pinned to 1
 
 
 def random_policy(inst: Instance, seed: int | np.random.Generator) -> Assignment:
@@ -45,15 +33,15 @@ def rssi_policy(inst: Instance, received_powers: np.ndarray) -> Assignment:
     return make_assignment(inst, pairs.ap[pairs.first_argmin(-powers)].tolist())
 
 
-def jain_index(inst: Instance, a: Assignment) -> FairnessReport:
-    """(sum Y)^2 / (N * sum Y^2) over the per-AP loads Y of the assignment.
+def jain_index(inst: Instance, a: Assignment) -> float:
+    """(sum Y)^2 / (N * sum Y^2) over the per-AP loads Y of the assignment,
+    in [1/N, 1] whenever some load is positive.
 
-    The all-zero-load case has no meaningful spread; it reports index 1 with
-    the degenerate flag set so the metric stays total.
+    The all-zero-load case has no meaningful spread; it reports 1 so the
+    metric stays total.
     """
     loads = per_ap_loads(inst, a.ap_of_client)
-    total_sq = float(loads.sum()) ** 2
     denom = inst.n_aps * float((loads**2).sum())
     if denom == 0.0:
-        return FairnessReport(index=1.0, per_ap_load=loads, degenerate=True)
-    return FairnessReport(index=total_sq / denom, per_ap_load=loads)
+        return 1.0
+    return float(loads.sum()) ** 2 / denom

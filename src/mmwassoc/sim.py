@@ -150,8 +150,6 @@ class SlotResult:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    topology: Topology
     slots: list[SlotResult]
     aggregates: dict[str, float | int | None]
 
@@ -221,7 +219,7 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
         )
         p_exact = milp.optimal_value
         p_relax = lp.optimal_value
-        jain_exact = jain_index(inst, milp.assignment).index
+        jain_exact = jain_index(inst, milp.assignment)
         relative_gap = (
             (p_exact - report.dual_value) / p_exact if p_exact > 0.0 else 0.0
         )
@@ -233,9 +231,9 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
         d_star=report.dual_value,
         p_rand=rand_assignment.objective,
         p_rssi=rssi_assignment.objective,
-        jain_daa=jain_index(inst, report.assignment).index,
-        jain_rand=jain_index(inst, rand_assignment).index,
-        jain_rssi=jain_index(inst, rssi_assignment).index,
+        jain_daa=jain_index(inst, report.assignment),
+        jain_rand=jain_index(inst, rand_assignment),
+        jain_rssi=jain_index(inst, rssi_assignment),
         gap_bound=duality_gap_bound(inst),
         p_exact=p_exact,
         p_relax=p_relax,
@@ -369,8 +367,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     workers = min(jobs, cfg.slots, os.cpu_count() or 1)
     bounds = [cfg.slots * k // workers for k in range(workers + 1)]
     results = _run_shares(cfg, topo, [range(a, b) for a, b in zip(bounds, bounds[1:])])
-    agg = aggregate(results)
-    return ExperimentResult(config=cfg, topology=topo, slots=results, aggregates=agg)
+    return ExperimentResult(slots=results, aggregates=aggregate(results))
 
 
 def sweep(

@@ -12,8 +12,9 @@ outer-product tableau simplex, kept as the bitwise reference for the LP
 relaxation's pivots.  `candidates_of_client`, `clients_of_ap` and
 `pair_values` convert between the pair arrays and the per-client, per-AP
 and dict forms the tests state their expectations in.  `recording` captures
-the price vectors a dual loop projects, which its report does not keep, and
-`trace_rows` reads a report's trace CSV back as numbers.
+the price vectors a dual loop projects, which its report does not keep,
+`subproblems` gives every client's choice and the dual value at any prices,
+and `trace_rows` reads a report's trace CSV back as numbers.
 """
 
 from __future__ import annotations
@@ -327,6 +328,15 @@ def _ref_first_argmin(inst: Instance, values: np.ndarray) -> np.ndarray:
     at_min = values <= seg_min[pairs.client]
     pair_idx = np.where(at_min, np.arange(values.size), values.size)
     return np.minimum.reduceat(pair_idx, pairs.start)
+
+
+def subproblems(inst: Instance, prices) -> tuple[list[int], float]:
+    """Every client's AP choice at `prices`, and the dual value there, through
+    the padded-table argmin the solver's loop relies on: each client picks
+    the candidate minimizing beta*price, ties to the smallest AP."""
+    weighted = inst.beta * np.asarray(prices, dtype=float)[inst.pairs.ap]
+    winner = inst.pairs.first_argmin(weighted)
+    return inst.pairs.ap[winner].tolist(), float(np.add.reduce(weighted[winner]))
 
 
 def _ref_iterate_subproblems(

@@ -66,3 +66,25 @@ def test_tracer_counts_are_ints_read_from_the_results(monkeypatch):
     ]:
         assert list(counts[name]) == [key]
         assert type(counts[name][key]) is int and counts[name][key] >= 1, (name, counts[name])
+
+
+def test_tracer_counts_every_hot_call_the_program_makes(monkeypatch):
+    # a hot call the program makes under another name than the patched one
+    # would leave its counter at 0 and charge its time to the enclosing span
+    cfg = sim.ExperimentConfig(n_aps=2, n_clients=6, slots=1, daa_iters=20, seed=0)
+    topo = sim.generate_topology(cfg)
+    tracer = load_tracer(monkeypatch).Tracer()
+    try:
+        tracer.install(*MODULES)
+        sim.run_daa(example1_instance(3, 0.5), max_iters=7)
+        assert sim.run_slot(cfg, topo, 0).feasible
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    calls = {name: counter["calls"] for name, counter in summary["counters"].items()}
+    hot = ("channel.compute_gain", "channel.compute_rate", "dual_solver.project_simplex")
+    assert sorted(calls) == sorted(hot)
+    assert all(calls[name] > 0 for name in hot), calls
+    iterations = summary["spans"]["dual_solver.run_daa"]["info"]["iterations"]
+    assert iterations == 7 + cfg.daa_iters
+    assert calls["dual_solver.project_simplex"] == iterations

@@ -202,9 +202,7 @@ def test_missing_config_file_is_error(tmp_path, capsys):
 def test_invalid_config_value_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_aps": 0, "n_clients": 5, "slots": 1}))
-    with pytest.raises(SystemExit) as err:
-        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "n_aps" in capsys.readouterr().err
 
 
@@ -215,13 +213,11 @@ def test_config_coercion_is_strict(tmp_path, capsys):
     assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
 
     path.write_text(json.dumps({"n_aps": 2.5, "n_clients": 6, "slots": 1}))
-    with pytest.raises(SystemExit):
-        main(["experiment", "--config", str(path), "--out", str(out)])
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
     assert "n_aps" in capsys.readouterr().err
 
     path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": 1, "with_exact": "yes"}))
-    with pytest.raises(SystemExit):
-        main(["experiment", "--config", str(path), "--out", str(out)])
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
     assert "with_exact" in capsys.readouterr().err
 
 
@@ -239,9 +235,7 @@ def test_config_rejects_non_numbers_and_bad_values(tmp_path, capsys, key, value)
     doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as err:
-        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
 
 
@@ -270,9 +264,7 @@ FLOAT_KEYS = [
 def test_config_rejects_non_finite_floats(tmp_path, capsys, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(f'{{"n_aps": 2, "n_clients": 4, "slots": 1, "{key}": {value}}}')
-    with pytest.raises(SystemExit) as err:
-        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     message = capsys.readouterr().err
     assert key in message and "finite" in message
     assert message.count("\n") == 1 and "Traceback" not in message
@@ -341,14 +333,15 @@ def test_verify_seed_changes_random_checks_not_fixtures(tmp_path, capsys):
     assert random_lines(first) != random_lines(second)
 
 
-def test_verify_refuses_stale_directory(tmp_path):
+def test_verify_refuses_stale_directory(tmp_path, capsys):
     out = tmp_path / "v"
     out.mkdir()
     (out / "manifest_verify_deadbeef.json").write_text(
         json.dumps({"config_hash": "deadbeef"})
     )
-    with pytest.raises(SystemExit, match="stale"):
-        main(["verify", "--out", str(out)])
+    assert main(["verify", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory ") and "stale verify results" in err
 
 
 def test_solve_huge_step_scale_exits_2(tmp_path, capsys):
@@ -487,9 +480,7 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, doc):
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
     if command == "sweep":
         argv += ["--vary", "n_clients", "--values", "4"]
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
+    assert main(argv) == 2
     assert "JSON object" in capsys.readouterr().err
 
 
@@ -510,9 +501,7 @@ def test_float_config_keys_accept_numbers_only(tmp_path, capsys, key, value):
     doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as err:
-        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
 
 
@@ -601,9 +590,7 @@ def test_negative_seed_is_a_config_error(config_file, tmp_path, capsys, command,
         argv += ["--seed", "-1"]
     if command == "sweep":
         argv += ["--vary", "n_clients", "--values", "4"]
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
+    assert main(argv) == 2
     assert one_error_line(capsys.readouterr().err, "seed")
     assert not (tmp_path / "out").exists()
 
@@ -631,9 +618,7 @@ def test_renamed_config_key_is_named_in_its_error(tmp_path, capsys, value):
     # the field is demand_max; the message must name the key the document used
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": 1, "demand_max_bps": value}))
-    with pytest.raises(SystemExit) as err:
-        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert one_error_line(capsys.readouterr().err, f"(from demand_max_bps={value!r})")
 
 
@@ -663,9 +648,7 @@ def test_config_values_out_of_physical_range_exit_2(tmp_path, capsys, command, k
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
     if command == "sweep":
         argv += ["--vary", "n_clients", "--values", "4"]
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
+    assert main(argv) == 2
     message = capsys.readouterr().err
     assert message.startswith("error: invalid config: ")
     assert one_error_line(message, key) and "Traceback" not in message
@@ -691,9 +674,7 @@ def test_channel_value_failing_validation_names_its_key(tmp_path, capsys, key, v
     doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as err:
-        main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert err.value.code == 2
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     message = capsys.readouterr().err
     assert message.startswith("error: invalid config: ")
     assert one_error_line(message, f"{key}={value!r}") and field in message
@@ -817,9 +798,7 @@ def test_config_with_too_many_aps_exits_2(tmp_path, capsys, command):
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
     if command == "sweep":
         argv += ["--vary", "n_clients", "--values", "4"]
-    with pytest.raises(SystemExit) as err:
-        main(argv)
-    assert err.value.code == 2
+    assert main(argv) == 2
     message = f"n_aps must lie in [1, 65536], got {2**40}"
     assert capsys.readouterr().err == f"error: invalid config: {message}\n"
     assert not (tmp_path / "out").exists()

@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mmwassoc import dual_solver
-from mmwassoc.dual_solver import (
-    client_subproblem,
-    dual_value,
-    project_simplex,
-    run_daa,
-    trace_csv_lines,
-)
+from mmwassoc.dual_solver import project_simplex, run_daa, trace_csv_lines
 from mmwassoc.instance import instance_from_beta
 from mmwassoc.policies import rssi_policy
 from oracles import (
@@ -26,6 +20,7 @@ from oracles import (
     recording,
     ref_project_simplex,
     ref_run_daa,
+    subproblems,
 )
 
 utilizations = st.one_of(
@@ -52,7 +47,7 @@ def assert_same_report(inst, iters, step=1.0):
     """Run the solver and the reference on the same input and compare them
     bit for bit: the g_k and t_k series, the prices each iteration projects,
     and the best assignment with its values.  Returns the solver's report."""
-    with recording(dual_solver, "_project") as prices:
+    with recording(dual_solver, "project_simplex") as prices:
         new = run_daa(inst, iters, step_scale=step)
     with recording(oracles, "ref_project_simplex") as ref_prices:
         ref = ref_run_daa(inst, iters, step_scale=step)
@@ -85,9 +80,10 @@ def test_run_daa_matches_reference_bitwise(inst, iters, step, data):
     prices = np.array(data.draw(st.lists(price, min_size=inst.n_aps, max_size=inst.n_aps)))
     # per client, its candidates' beta*price values, AP-ascending
     weighted = inst.pairs.per_client(inst.beta * prices[inst.pairs.ap])
-    assert repr(dual_value(inst, prices)) == repr(float(np.sum([min(w) for w in weighted])))
-    for j, (cands, values) in enumerate(zip(candidates_of_client(inst), weighted)):
-        assert client_subproblem(inst, prices, j) == cands[values.index(min(values))]
+    choices, dual = subproblems(inst, prices)
+    assert repr(dual) == repr(float(np.sum([min(w) for w in weighted])))
+    for choice, cands, values in zip(choices, candidates_of_client(inst), weighted, strict=True):
+        assert choice == cands[values.index(min(values))]
 
 
 def random_instance(seed, n, m, d, values=None):
@@ -162,24 +158,32 @@ entries = st.one_of(
 )
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
-@given(st.lists(entries, min_size=1, max_size=200))
-def test_project_simplex_matches_reference_bitwise(values):
-    v = np.array(values)
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(
+    st.lists(entries, max_size=200),
+    st.none() | st.sampled_from([math.nan, math.inf, -math.inf]),  # half the lists finite
+    st.integers(0, 200),
+)
+@example([1.0, -0.0], None, 0)  # theta 0.0 meets x = -0.0: the clamp gives +0.0
+def test_project_simplex_matches_reference_bitwise(values, bad, at):
+    # an empty list, or one with a NaN or infinite entry at `at`, must raise;
+    # the reference refuses them all, as it does entries with no threshold
+    if bad is not None:
+        values.insert(at % (len(values) + 1), bad)
     try:
-        expected = ref_project_simplex(v)
+        expected = ref_project_simplex(np.array(values))
     except (IndexError, ValueError):
         with pytest.raises(ValueError):
-            project_simplex(v)
+            project_simplex(values)
         return
-    got = project_simplex(v)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()
+    got = project_simplex(values)
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == expected.tobytes()
 
 
 def test_project_simplex_rejects_entries_beyond_double_precision():
     with pytest.raises(ValueError, match="too large to project in double precision"):
-        project_simplex(np.array([1e17, 0.0]))
+        project_simplex([1e17, 0.0])
     with pytest.raises(IndexError):  # the reference's failure this replaces
         ref_project_simplex(np.array([1e17, 0.0]))
 
@@ -219,9 +223,9 @@ def test_padded_table_argmin_matches_reference(inst, data):
     prices = np.array(data.draw(st.lists(signed, min_size=inst.n_aps, max_size=inst.n_aps)))
     weighted = inst.beta * prices[inst.pairs.ap]
     winner = _ref_first_argmin(inst, weighted) if inst.n_clients else np.zeros(0, dtype=int)
-    assert repr(dual_value(inst, prices)) == repr(float(np.sum(weighted[winner])))
-    for j, pair in enumerate(winner.tolist()):
-        assert client_subproblem(inst, prices, j) == inst.pairs.ap[pair]
+    choices, dual = subproblems(inst, prices)
+    assert repr(dual) == repr(float(np.sum(weighted[winner])))
+    assert choices == inst.pairs.ap[winner].tolist()
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -236,11 +240,11 @@ def test_loop_projection_matches_reference_bitwise(price_loads, step):
     stepped = [p + step * y for p, y in zip(prices, loads)]
     try:
         expected = ref_project_simplex(np.array(prices) - step * -np.array(loads))
-    except IndexError:  # no threshold: the helper refuses too
+    except IndexError:  # no threshold: project_simplex refuses too
         with pytest.raises(ValueError, match="too large to project"):
-            dual_solver._project(stepped)
+            project_simplex(stepped)
         return
-    assert np.array(dual_solver._project(stepped)).tobytes() == expected.tobytes()
+    assert np.array(project_simplex(stepped)).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -7,24 +7,28 @@ from hypothesis import strategies as st
 
 from mmwassoc import dual_solver
 from mmwassoc.dual_solver import (
-    client_subproblem,
     convergence_bound,
-    dual_value,
     duality_gap_bound,
     project_simplex,
     run_daa,
     run_daa_distributed,
-    subgradient,
     trace_csv_lines,
 )
 from mmwassoc.exact import solve_lp_relaxation
-from mmwassoc.instance import example1_instance, example2_instance, instance_from_beta, make_assignment
+from mmwassoc.instance import (
+    example1_instance,
+    example2_instance,
+    instance_from_beta,
+    make_assignment,
+    per_ap_loads,
+)
 from oracles import (
     brute_force,
     projection_kkt_violation,
     random_full_instance,
     random_subset_instance,
     recording,
+    subproblems,
     trace_rows,
 )
 from test_dual_reference import instances
@@ -36,25 +40,25 @@ def pair_instance():
 
 
 def test_client_subproblem_picks_cheapest_product():
-    inst = pair_instance()
-    assert client_subproblem(inst, np.array([0.5, 0.5]), 0) == 0  # 0.20 < 0.30
+    choices, _ = subproblems(pair_instance(), [0.5, 0.5])
+    assert choices[0] == 0  # 0.20 < 0.30
 
 
 def test_client_subproblem_zero_price_wins():
-    inst = pair_instance()
-    assert client_subproblem(inst, np.array([0.0, 1.0]), 0) == 0
+    choices, _ = subproblems(pair_instance(), [0.0, 1.0])
+    assert choices[0] == 0
 
 
 def test_client_subproblem_tie_breaks_to_smallest_index():
-    inst = pair_instance()
-    assert client_subproblem(inst, np.array([0.5, 0.5]), 1) == 0
+    choices, _ = subproblems(pair_instance(), [0.5, 0.5])
+    assert choices[1] == 0
 
 
 def test_dual_value_sums_per_client_minima():
-    inst = pair_instance()
-    assert dual_value(inst, np.array([0.5, 0.5])) == pytest.approx(0.20 + 0.25, abs=1e-12)
+    _, dual = subproblems(pair_instance(), [0.5, 0.5])
+    assert dual == pytest.approx(0.20 + 0.25, abs=1e-12)
     single = instance_from_beta(1, 1, {(0, 0): 0.5})
-    assert dual_value(single, np.array([1.0])) == pytest.approx(0.5, abs=1e-12)
+    assert subproblems(single, [1.0])[1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dual_value_at_vertex_counts_only_pinned_clients():
@@ -62,45 +66,32 @@ def test_dual_value_at_vertex_counts_only_pinned_clients():
     inst = instance_from_beta(
         2, 3, {(0, 0): 0.7, (0, 1): 0.4, (1, 1): 0.9, (0, 2): 0.3, (1, 2): 0.8}
     )
-    assert dual_value(inst, np.array([1.0, 0.0])) == pytest.approx(0.7, abs=1e-12)
-    assert dual_value(inst, np.array([0.0, 1.0])) == pytest.approx(0.0, abs=1e-12)
-
-
-@pytest.mark.parametrize(
-    "prices",
-    [[math.nan, 0.5], [0.5, math.inf], [0.5], [0.5, 0.5, 0.0], [[0.5, 0.5]], 0.5],
-)
-def test_dual_value_and_client_subproblem_reject_bad_prices(prices):
-    inst = pair_instance()
-    with pytest.raises(ValueError, match="prices"):
-        dual_value(inst, prices)
-    with pytest.raises(ValueError, match="prices"):
-        client_subproblem(inst, prices, 0)
-
-
-@pytest.mark.parametrize("j", [-1, -2, 2, 10])
-def test_client_subproblem_rejects_client_out_of_range(j):
-    with pytest.raises(ValueError, match="client index"):
-        client_subproblem(pair_instance(), np.array([0.5, 0.5]), j)
+    assert subproblems(inst, [1.0, 0.0])[1] == pytest.approx(0.7, abs=1e-12)
+    assert subproblems(inst, [0.0, 1.0])[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_subgradient_is_negative_load():
     inst = instance_from_beta(2, 2, {(0, 0): 0.3, (0, 1): 0.2, (1, 1): 0.9})
     a = make_assignment(inst, [0, 0])
-    u = subgradient(inst, a)
+    u = -per_ap_loads(inst, a.ap_of_client)
     assert u == pytest.approx([-0.5, 0.0], abs=1e-12)
     # -u recomputed per AP equals the per-AP utilization of the assignment
     assert (-u).max() == pytest.approx(a.objective, abs=1e-12)
 
 
+def project(v: np.ndarray) -> np.ndarray:
+    """`project_simplex` on an array, as an array."""
+    return np.array(project_simplex(v.tolist()))
+
+
 def test_project_simplex_fixes_members():
-    v = np.array([0.2, 0.5, 0.3])
+    v = [0.2, 0.5, 0.3]
     assert project_simplex(v) == pytest.approx(v, abs=1e-15)
 
 
 def test_project_simplex_symmetry_and_clamp():
-    assert project_simplex(np.array([0.6, 0.6])) == pytest.approx([0.5, 0.5], abs=1e-15)
-    assert project_simplex(np.array([1.2, -0.2])) == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert project_simplex([0.6, 0.6]) == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert project_simplex([1.2, -0.2]) == pytest.approx([1.0, 0.0], abs=1e-15)
 
 
 def test_project_simplex_kkt_idempotence_nonexpansiveness():
@@ -108,24 +99,19 @@ def test_project_simplex_kkt_idempotence_nonexpansiveness():
     for _ in range(200):
         n = int(rng.integers(2, 9))
         v = rng.normal(0.0, 3.0, size=n)
-        x = project_simplex(v)
+        x = project(v)
         assert x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
         assert projection_kkt_violation(v, x, rng) <= 1e-9
-        assert project_simplex(x) == pytest.approx(x, abs=1e-12)
+        assert project(x) == pytest.approx(x, abs=1e-12)
         w = rng.normal(0.0, 3.0, size=n)
-        assert np.linalg.norm(project_simplex(v) - project_simplex(w)) <= np.linalg.norm(
-            v - w
-        ) + 1e-12
+        assert np.linalg.norm(project(v) - project(w)) <= np.linalg.norm(v - w) + 1e-12
 
 
 def test_project_simplex_rejects_bad_input():
-    with pytest.raises(ValueError):
-        project_simplex(np.array([np.nan, 0.5]))
-    with pytest.raises(ValueError):
-        project_simplex(np.array([np.inf, 0.5]))
-    with pytest.raises(ValueError):
-        project_simplex(np.array([]))
+    for v in ([math.nan, 0.5], [0.5, math.nan], [math.inf, 0.5], [0.5, -math.inf], []):
+        with pytest.raises(ValueError):
+            project_simplex(v)
 
 
 def test_run_daa_solves_chain_fixture():
@@ -178,20 +164,18 @@ def test_price_scaling_leaves_subproblems_unchanged():
     rng = np.random.default_rng(13)
     inst = random_subset_instance(rng)
     prices = rng.dirichlet(np.ones(inst.n_aps))
+    choices, _ = subproblems(inst, prices)
     for scale in (0.1, 3.0, 250.0):
-        for j in range(inst.n_clients):
-            assert client_subproblem(inst, prices, j) == client_subproblem(
-                inst, scale * prices, j
-            )
+        assert subproblems(inst, scale * prices)[0] == choices
 
 
 def test_distributed_matches_centralized_bitwise():
     rng = np.random.default_rng(29)
     for _ in range(8):
         inst = random_subset_instance(rng)
-        with recording(dual_solver, "_project") as central_prices:
+        with recording(dual_solver, "project_simplex") as central_prices:
             central = run_daa(inst, max_iters=150)
-        with recording(dual_solver, "_project") as dist_prices:
+        with recording(dual_solver, "project_simplex") as dist_prices:
             dist = run_daa_distributed(inst, max_iters=150)
         assert trace_rows(central) == trace_rows(dist.report)
         assert central.assignment == dist.report.assignment
