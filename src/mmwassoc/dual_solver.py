@@ -114,13 +114,20 @@ def project_simplex(v: Sequence[float]) -> list[float]:
     return [x - theta if x > theta else 0.0 for x in v]
 
 
-def run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> SolveReport:
+def run_daa(
+    inst: Instance, max_iters: int, step_scale: float = 1.0, *, stop_at_zero_gap: bool = False
+) -> SolveReport:
     """Projected-subgradient dual ascent with primal recovery.
 
     Prices start uniform; iteration k solves all client subproblems, records
     the feasible assignment's objective t_k and the dual value, and steps
-    with size step_scale/k before re-projecting.  Runs for exactly
-    `max_iters` iterations (fixed budget, reproducible traces).
+    with size step_scale/k before re-projecting.  Runs `max_iters`
+    iterations, or with `stop_at_zero_gap` stops earlier once the best
+    primal value is at most the best dual value: the certificate
+    g_best <= p* <= p_best then proves the recovered assignment optimal.
+    The gap is checked where a block of dual values is summed, after
+    iterations 1, 3, 7, 15, ..., so a stopped run's series is a prefix of
+    the full run's.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -153,9 +160,15 @@ def run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> SolveRep
     duals: list[float] = []
     primals: list[float] = []
     best_primal, best_key = math.inf, b""
+    best_dual = -math.inf
+    # with the stop, blocks of 1, 2, 4, ... iterations up to the buffer's, so
+    # that a gap that closes early is seen early; reducing a (rows, M) block
+    # row by row gives the same floats for any number of rows
+    first, size = 1, 1 if stop_at_zero_gap else block
 
-    for first in range(1, max_iters + 1, block):
-        for k, (w, c) in zip(range(first, min(first + block, max_iters + 1)), views):
+    while first <= max_iters:
+        last = min(first + size, max_iters + 1)
+        for k, (w, c) in zip(range(first, last), views):
             np.multiply(beta, np.array(prices).take(ap), out=w)
             key = w.argmin(axis=1, out=c).tobytes()
             entry = memo.get(key)
@@ -175,14 +188,19 @@ def run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> SolveRep
             # step along the subgradient u = -loads with size step_scale/k
             step = step_scale / k
             prices = project_simplex([p + step * y for p, y in zip(prices, loads)])
-        done = k + 1 - first
+        done = last - first
         chosen = row_starts[:done] + cols[:done]
-        duals += np.add.reduce(tables.take(chosen), axis=1).tolist()
+        block_duals = np.add.reduce(tables.take(chosen), axis=1).tolist()
+        duals += block_duals
+        best_dual = max(best_dual, max(block_duals))
+        if stop_at_zero_gap and best_primal - best_dual <= 0.0:
+            break
+        first, size = last, min(2 * size, block)
 
     best_chosen = ap.take(row + np.frombuffer(best_key, dtype=np.intp))
     assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
     # weak duality keeps every g_k below every t_k, so max(duals) <= best_primal
-    return SolveReport(duals, primals, assignment, max(duals))
+    return SolveReport(duals, primals, assignment, best_dual)
 
 
 def run_daa_distributed(

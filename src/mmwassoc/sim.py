@@ -202,7 +202,11 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     except InfeasibleClientError:
         return SlotResult(slot=slot, feasible=False)
 
-    report = run_daa(inst, max_iters=cfg.daa_iters, step_scale=cfg.step_scale)
+    # a zero gap p_best - g_best certifies the recovered assignment optimal,
+    # so the slot stops there
+    report = run_daa(
+        inst, max_iters=cfg.daa_iters, step_scale=cfg.step_scale, stop_at_zero_gap=True
+    )
     rand_assignment = random_policy(inst, _stream(cfg.seed, _PURPOSE_RANDOM_POLICY, slot))
     n = topo.n_aps  # (client, ap) -> client * n + ap orders the pairs
     kept = np.isin(topo.pairs.client * n + topo.pairs.ap, inst.pairs.client * n + inst.pairs.ap)

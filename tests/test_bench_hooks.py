@@ -88,3 +88,19 @@ def test_tracer_counts_every_hot_call_the_program_makes(monkeypatch):
     iterations = summary["spans"]["dual_solver.run_daa"]["info"]["iterations"]
     assert iterations == 7 + cfg.daa_iters
     assert calls["dual_solver.project_simplex"] == iterations
+
+
+def test_tracer_counts_the_iterations_of_a_slot_that_stops_early(monkeypatch):
+    # slot 8 of this config closes its certified gap at k = 7 of K = 20
+    cfg = sim.ExperimentConfig(n_aps=2, n_clients=6, slots=1, daa_iters=20, seed=0)
+    topo = sim.generate_topology(cfg)
+    tracer = load_tracer(monkeypatch).Tracer()
+    try:
+        tracer.install(*MODULES)
+        assert sim.run_slot(cfg, topo, 8).feasible
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    iterations = summary["spans"]["dual_solver.run_daa"]["info"]["iterations"]
+    assert summary["counters"]["dual_solver.project_simplex"]["calls"] == iterations
+    assert iterations < cfg.daa_iters

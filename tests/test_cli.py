@@ -100,6 +100,18 @@ def test_solve_trace_flag_writes_csv(chain_file, tmp_path):
     assert len(lines) == 2 + 50
 
 
+def test_solve_runs_every_iteration_past_a_zero_gap(tmp_path):
+    # the fixture's gap closes at k = 3; solve still runs and traces all K
+    out = tmp_path / "out"
+    assert main(["solve", str(FIXTURE), "--iters", "100", "--trace", "--out", str(out)]) == 0
+    doc = json.loads(next(out.glob("solve_*.json")).read_text())
+    assert doc["iterations_run"] == 100
+    assert doc["gap_certificate"] == 0.0
+    lines = next(out.glob("trace_*.csv")).read_text().splitlines()
+    assert len(lines) == 2 + 100
+    assert [line.split(",")[0] for line in lines[2:]] == [str(k) for k in range(1, 101)]
+
+
 def test_experiment_writes_csv_and_summary(config_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["experiment", "--config", str(config_file), "--out", str(out)]) == 0

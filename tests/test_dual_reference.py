@@ -256,3 +256,55 @@ def test_run_daa_matches_reference_around_block_ends(inst, cells, blocks, offset
     iters = max(1, blocks * block + offset)
     with mock.patch.object(dual_solver, "_BLOCK_CELLS", cells):
         assert_same_report(inst, iters)
+
+
+def block_ends(iters, cells, table_size):
+    """The iterations after which a stopping run checks its gap: blocks of
+    1, 2, 4, ... iterations, capped at the buffer's block."""
+    block = min(iters, max(1, cells // max(1, table_size)))
+    ends, end, size = [], 0, 1
+    while end < iters:
+        end = min(end + size, iters)
+        ends.append(end)
+        size = min(2 * size, block)
+    return ends
+
+
+# one pinned client and one AP: g_1 = t_1, so the gap closes at k = 1
+PINNED = instance_from_beta(1, 1, {(0, 0): 0.5})
+# three co-located clients at equal utilization: the optimum puts two on one
+# AP (1.0) while every dual value stays at most 0.75, so the gap never closes
+CO_LOCATED = instance_from_beta(2, 3, {(i, j): 0.5 for i in range(2) for j in range(3)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    instances(),
+    st.integers(1, 80),
+    st.sampled_from([1.0, 0.5, 2.0]) | st.floats(1e-3, 50.0),
+    st.sampled_from([dual_solver._BLOCK_CELLS]) | st.integers(1, 200),
+)
+@example(PINNED, 40, 1.0, dual_solver._BLOCK_CELLS)
+@example(CO_LOCATED, 60, 1.0, dual_solver._BLOCK_CELLS)
+def test_stopped_run_is_a_prefix_of_the_full_run(inst, iters, step, cells):
+    with mock.patch.object(dual_solver, "_BLOCK_CELLS", cells):
+        stopped = run_daa(inst, iters, step_scale=step, stop_at_zero_gap=True)
+    full = ref_run_daa(inst, iters, step_scale=step)
+    n = stopped.iterations_run
+    ends = block_ends(iters, cells, inst.pairs.table.size)
+    assert n in ends
+    for series in ("duals", "primals"):
+        assert repr(getattr(stopped, series)) == repr(getattr(full, series)[:n])
+    assert stopped.assignment == full.assignment
+    for attr in ("primal_value", "dual_value", "gap_certificate"):
+        assert repr(getattr(stopped, attr)) == repr(getattr(full, attr))
+    # the run ends at the first block end where p_best - g_best <= 0
+    for end in ends[: ends.index(n)]:
+        assert min(stopped.primals[:end]) - max(stopped.duals[:end]) > 0.0
+    if n < iters:
+        assert stopped.primal_value - max(stopped.duals) <= 0.0
+
+
+@pytest.mark.parametrize("inst, iters, ran", [(PINNED, 40, 1), (CO_LOCATED, 60, 60)])
+def test_stop_examples_end_where_expected(inst, iters, ran):
+    assert run_daa(inst, iters, stop_at_zero_gap=True).iterations_run == ran

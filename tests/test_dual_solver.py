@@ -196,6 +196,16 @@ def test_distributed_message_counts():
     assert ten.messages.coordination_rounds == 10
 
 
+def test_distributed_run_takes_every_iteration_past_a_zero_gap():
+    inst = example1_instance(3, 0.5)  # the gap closes at k = 3
+    assert run_daa(inst, max_iters=100, stop_at_zero_gap=True).iterations_run == 3
+    run = run_daa_distributed(inst, max_iters=100)
+    assert run.report.iterations_run == 100
+    assert run.messages.broadcasts == 100 * inst.n_aps
+    assert run.messages.client_signals == 100 * inst.n_clients
+    assert run.messages.coordination_rounds == 100
+
+
 def test_convergence_bound_decreasing_in_k():
     inst = example1_instance(4, 0.5)
     bounds = [convergence_bound(inst, 1.0, k) for k in (1, 2, 5, 10, 100, 1000)]

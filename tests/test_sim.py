@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mmwassoc.channel import cell_radius, default_params
-from mmwassoc import sim
+from mmwassoc import dual_solver, sim
 from mmwassoc.sim import (
     ExperimentConfig,
     aggregate,
@@ -239,6 +239,31 @@ def test_worker_ends_when_its_caller_dies_without_clean_up():
 def test_run_experiment_rejects_nonpositive_jobs(jobs):
     with pytest.raises(ValueError, match="jobs"):
         run_experiment(small_cfg(slots=1), jobs=jobs)
+
+
+def test_slots_that_stop_at_a_zero_gap_equal_full_runs(monkeypatch):
+    # the README operating point at seed 0: a slot whose certified gap
+    # closes stops early, and its results are those of all K iterations
+    cfg = ExperimentConfig(n_aps=5, n_clients=100, slots=20, daa_iters=1000, seed=0)
+    topo = generate_topology(cfg)
+    iterations = []
+
+    def recorded(inst, max_iters, step_scale, **kwargs):
+        report = dual_solver.run_daa(inst, max_iters, step_scale, **kwargs)
+        iterations.append(report.iterations_run)
+        return report
+
+    monkeypatch.setattr(sim, "run_daa", recorded)
+    stopping = [run_slot(cfg, topo, t) for t in range(cfg.slots)]
+
+    def full_run(inst, max_iters, step_scale, *, stop_at_zero_gap):
+        assert stop_at_zero_gap
+        return dual_solver.run_daa(inst, max_iters, step_scale)
+
+    monkeypatch.setattr(sim, "run_daa", full_run)
+    full = [run_slot(cfg, topo, t) for t in range(cfg.slots)]
+    assert [repr(s) for s in stopping] == [repr(s) for s in full]
+    assert min(iterations) < cfg.daa_iters == max(iterations)
 
 
 def test_vanishing_demands_drive_objectives_to_zero():
