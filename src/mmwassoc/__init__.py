@@ -32,7 +32,6 @@ from .exact import (
     NodeBudgetExceeded,
     branch_and_bound,
     enumerate_assignments,
-    lp_cs_residual,
     solve_lp_relaxation,
     solve_milp_exact,
 )

@@ -89,16 +89,15 @@ def dbm_per_mhz_to_mw_per_hz(dbm_per_mhz: float) -> float:
     return 10.0 ** (dbm_per_mhz / 10.0) / 1e6
 
 
-def default_params(path_loss_exp: float = 2.0) -> ChannelParams:
+def default_params() -> ChannelParams:
     """Standard 60 GHz operating point: 5 mm carrier, -134 dBm/MHz noise,
-    1200 MHz bandwidth, 1 m reference distance, 0.1 mW, unit antenna gains;
-    every config starts from it."""
+    1200 MHz bandwidth, 1 m reference distance, free-space exponent 2,
+    0.1 mW, unit antenna gains; every config starts from it."""
     return ChannelParams(
         wavelength=5e-3,
         noise_density=dbm_per_mhz_to_mw_per_hz(-134.0),
         bandwidth=1.2e9,
         ref_distance=1.0,
-        path_loss_exp=path_loss_exp,
         tx_power=0.1,
     )
 

@@ -310,12 +310,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_checks(seed: int) -> list[tuple[str, bool, str, Instance | None]]:
+def _verify_checks(seed: int) -> list[tuple[str, bool, str, Instance]]:
     """Built-in fixture and random-instance checks.
 
     Fixtures are seed-independent; the random instances change with the seed.
     """
-    checks: list[tuple[str, bool, str, Instance | None]] = []
+    checks: list[tuple[str, bool, str, Instance]] = []
     fixtures = [
         ("chain_m3", example1_instance(3, 0.5), 0.5),
         ("chain_m8", example1_instance(8, 0.5), 0.5),
@@ -376,11 +376,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name, ok, detail, _inst in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     for name, _ok, _detail, inst in failed:
-        if inst is not None:
-            _write_text(
-                out / f"failed_{name}_{chash}.json",
-                json.dumps(instance_to_json(inst), indent=2) + "\n",
-            )
+        _write_text(
+            out / f"failed_{name}_{chash}.json",
+            json.dumps(instance_to_json(inst), indent=2) + "\n",
+        )
     _write_manifest(out, "verify", "", chash)
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return 1 if failed else 0

@@ -23,7 +23,6 @@ __all__ = [
     "branch_and_bound",
     "solve_milp_exact",
     "solve_lp_relaxation",
-    "lp_cs_residual",
 ]
 
 ENUMERATION_LIMIT = 1_000_000  # assignments; beyond this the search branches
@@ -35,13 +34,13 @@ _PIV_TOL = 1e-10
 
 @dataclass
 class ExactResult:
-    """Certified optimum: integral assignment (MILP) or fractional point (LP)."""
+    """Certified optimum: the MILP's with its integral assignment, or the LP
+    relaxation's value alone.  `nodes_explored` counts the search's nodes,
+    or the LP's simplex pivots."""
 
     optimal_value: float
     assignment: Assignment | None = None
-    fractional: np.ndarray | None = None  # LP x of every pair, aligned with inst.pairs
     nodes_explored: int = 0
-    duals: np.ndarray | None = None  # LP row duals (N AP rows, then M client rows)
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -361,29 +360,7 @@ def _lp_matrix(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def solve_lp_relaxation(inst: Instance) -> ExactResult:
-    """Optimal value of the continuous relaxation (equals the dual optimum)."""
-    a_mat, b, c = _lp_matrix(inst)
-    x, obj, basis, pivots = _two_phase_simplex(a_mat, b, c)
-    duals = np.linalg.solve(a_mat[:, basis].T, c[basis])
-    return ExactResult(
-        optimal_value=obj, fractional=x[1 : 1 + inst.beta.size], nodes_explored=pivots, duals=duals
-    )
-
-
-def lp_cs_residual(inst: Instance, result: ExactResult) -> float:
-    """Largest primal/dual/complementary-slackness violation of an LP solution."""
-    if result.fractional is None or result.duals is None:
-        raise ValueError("result does not carry an LP solution with duals")
-    a_mat, b, c = _lp_matrix(inst)
-    p = inst.beta.size
-    x = np.zeros(1 + p + inst.n_aps)
-    x[0] = result.optimal_value
-    x[1 : 1 + p] = result.fractional
-    # recover the slack values from the AP rows
-    x[1 + p :] = b[: inst.n_aps] - a_mat[: inst.n_aps, : 1 + p] @ x[: 1 + p]
-    residual = float(np.max(np.abs(a_mat @ x - b), initial=0.0))
-    residual = max(residual, float(np.max(-x, initial=0.0)))  # x >= 0
-    reduced = c - result.duals @ a_mat
-    residual = max(residual, float(np.max(-reduced, initial=0.0)))  # dual feasibility
-    residual = max(residual, float(np.max(np.abs(reduced * x), initial=0.0)))
-    return residual
+    """Optimal value of the continuous relaxation (equals the dual optimum),
+    with the simplex pivot count as `nodes_explored`."""
+    _x, obj, _basis, pivots = _two_phase_simplex(*_lp_matrix(inst))
+    return ExactResult(optimal_value=obj, nodes_explored=pivots)

@@ -118,7 +118,6 @@ class Topology:
 
     ap_positions: np.ndarray  # (N, 2) meters
     client_positions: np.ndarray  # (M, 2) meters
-    radius: float  # cell radius, meters
     pairs: Pairs  # within-radius (ap, client) pairs
     distance: np.ndarray  # (P,) AP-client distance of every pair, meters
 
@@ -152,7 +151,6 @@ def topology_from_positions(
     return Topology(
         ap_positions=ap_positions,
         client_positions=client_positions,
-        radius=float(radius),
         pairs=Pairs.from_sorted(client, ap, client_positions.shape[0]),
         distance=_frozen(distance),
     )

@@ -9,12 +9,16 @@ references for the library's pair-array forms, plus the segmented-numpy
 form of the dual iteration and the numpy simplex projection, kept as
 bitwise references for the solver's padded-table loop, and the masked
 outer-product tableau simplex, kept as the bitwise reference for the LP
-relaxation's pivots.  `candidates_of_client`, `clients_of_ap` and
-`pair_values` convert between the pair arrays and the per-client, per-AP
-and dict forms the tests state their expectations in.  `recording` captures
-the price vectors a dual loop projects, which its report does not keep,
-`subproblems` gives every client's choice and the dual value at any prices,
-and `trace_rows` reads a report's trace CSV back as numbers.
+relaxation's pivots.  The library's LP returns only its value and pivot
+count; `lp_solution` runs a simplex on the same standard form to give the
+tests the pair point and the basis duals as well, and `lp_cs_residual`
+checks that solution by complementary slackness.  `candidates_of_client`,
+`clients_of_ap` and `pair_values` convert between the pair arrays and the
+per-client, per-AP and dict forms the tests state their expectations in.
+`recording` captures the price vectors a dual loop projects, which its
+report does not keep, `subproblems` gives every client's choice and the
+dual value at any prices, and `trace_rows` reads a report's trace CSV back
+as numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from unittest import mock
 import numpy as np
 
 from mmwassoc.dual_solver import SolveReport, trace_csv_lines
-from mmwassoc.exact import ExactResult, _lp_matrix
+from mmwassoc.exact import _lp_matrix, _two_phase_simplex
 from mmwassoc.instance import Assignment, InfeasibleClientError, Instance, instance_from_beta
 
 _REL_TOL = 1e-12
@@ -460,12 +464,43 @@ def ref_two_phase_simplex(
     return x, float(cost2 @ x), basis, pivots
 
 
-def ref_solve_lp_relaxation(inst: Instance) -> ExactResult:
-    """The LP relaxation of the library's standard form, by
-    `ref_two_phase_simplex`, with the row duals of the final basis."""
+@dataclass(frozen=True)
+class LPSolution:
+    """An LP relaxation solved in full: what `solve_lp_relaxation` returns,
+    plus the point and the row duals of the final basis."""
+
+    value: float
+    pivots: int
+    point: np.ndarray  # x of every pair, aligned with inst.pairs
+    duals: np.ndarray  # row duals: N AP rows, then M client rows
+
+
+def lp_solution(inst: Instance, simplex=_two_phase_simplex) -> LPSolution:
+    """Solve the library's standard form of the relaxation with `simplex`
+    (the library's by default) and solve the final basis for its duals."""
     a_mat, b, c = _lp_matrix(inst)
-    x, obj, basis, pivots = ref_two_phase_simplex(a_mat, b, c)
+    x, obj, basis, pivots = simplex(a_mat, b, c)
     duals = np.linalg.solve(a_mat[:, basis].T, c[basis])
-    return ExactResult(
-        optimal_value=obj, fractional=x[1 : 1 + inst.beta.size], nodes_explored=pivots, duals=duals
-    )
+    return LPSolution(value=obj, pivots=pivots, point=x[1 : 1 + inst.beta.size], duals=duals)
+
+
+def ref_solve_lp_relaxation(inst: Instance) -> LPSolution:
+    """The LP relaxation by `ref_two_phase_simplex`, solved in full."""
+    return lp_solution(inst, ref_two_phase_simplex)
+
+
+def lp_cs_residual(inst: Instance, sol: LPSolution) -> float:
+    """Largest primal/dual/complementary-slackness violation of an LP solution."""
+    a_mat, b, c = _lp_matrix(inst)
+    p = inst.beta.size
+    x = np.zeros(1 + p + inst.n_aps)
+    x[0] = sol.value
+    x[1 : 1 + p] = sol.point
+    # recover the slack values from the AP rows
+    x[1 + p :] = b[: inst.n_aps] - a_mat[: inst.n_aps, : 1 + p] @ x[: 1 + p]
+    residual = float(np.max(np.abs(a_mat @ x - b), initial=0.0))
+    residual = max(residual, float(np.max(-x, initial=0.0)))  # x >= 0
+    reduced = c - sol.duals @ a_mat
+    residual = max(residual, float(np.max(-reduced, initial=0.0)))  # dual feasibility
+    residual = max(residual, float(np.max(np.abs(reduced * x), initial=0.0)))
+    return residual

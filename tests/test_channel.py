@@ -39,7 +39,7 @@ def test_gain_inverse_square_law():
 
 
 def test_gain_monotone_beyond_reference():
-    p = default_params(path_loss_exp=3.0)
+    p = replace(default_params(), path_loss_exp=3.0)
     dists = np.linspace(1.0, 30.0, 50)
     gains = [compute_gain(p, d, 1.0) for d in dists]
     assert all(a > b for a, b in zip(gains, gains[1:]))
@@ -118,7 +118,7 @@ def test_cell_radius_ten_db_matches_root_find_oracle():
 
 @pytest.mark.parametrize("eta", [2.0, 2.7, 4.0, 6.0])
 def test_snr_radius_round_trip(eta):
-    p = default_params(path_loss_exp=eta)
+    p = replace(default_params(), path_loss_exp=eta)
     snr0 = snr_at_distance(p, p.ref_distance)
     for frac in (0.9, 0.5, 0.01, 1e-6):
         target = snr0 * frac
@@ -136,8 +136,8 @@ def test_snr_radius_round_trip(eta):
 def test_unit_fading_sinr_at_the_radius_is_the_target(tx_gain, rx_gain, interference, eta, frac):
     # the radius uses the link budget compute_rate sees: antenna gains and N0 + I
     channel = replace(
-        default_params(path_loss_exp=eta),
-        tx_gain=tx_gain, rx_gain=rx_gain, interference_density=interference,
+        default_params(),
+        path_loss_exp=eta, tx_gain=tx_gain, rx_gain=rx_gain, interference_density=interference,
     )
     n0_w = (channel.noise_density + interference) * channel.bandwidth
 

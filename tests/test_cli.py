@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from mmwassoc import sim
+from mmwassoc import cli, sim
 from mmwassoc.cli import main
 from mmwassoc.dual_solver import convergence_bound
-from mmwassoc.instance import example1_instance, instance_to_json
+from mmwassoc.instance import example1_instance, instance_from_json, instance_to_json
+from oracles import same_instance
 
 FIXTURE = Path(__file__).parent / "fixtures" / "chain_three_cells.json"
 
@@ -343,6 +344,32 @@ def test_verify_seed_changes_random_checks_not_fixtures(tmp_path, capsys):
 
     assert fixture_lines(first) == fixture_lines(second)
     assert random_lines(first) != random_lines(second)
+
+
+def test_verify_writes_the_instance_of_a_failed_check(tmp_path, capsys, monkeypatch):
+    # the 4th LP verify solves is its first random instance's; a relaxation
+    # value above the MILP optimum fails that check alone
+    real = cli.solve_lp_relaxation
+    solved = []
+
+    def wrong_fourth_lp(inst):
+        solved.append(inst)
+        lp = real(inst)
+        if len(solved) == 4:
+            lp = dataclasses.replace(lp, optimal_value=lp.optimal_value + 1.0)
+        return lp
+
+    monkeypatch.setattr(cli, "solve_lp_relaxation", wrong_fourth_lp)
+    out = tmp_path / "v"
+    assert main(["verify", "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    assert [l.split()[0] for l in stdout.splitlines() if "  FAIL  " in l] == [
+        "gap_certificate_random_0"
+    ]
+    assert stdout.splitlines()[-1] == f"{len(solved) - 1}/{len(solved)} checks passed"
+    (written,) = out.glob("failed_*.json")
+    assert written.name.startswith("failed_gap_certificate_random_0_")
+    assert same_instance(instance_from_json(json.loads(written.read_text())), solved[3])
 
 
 def test_verify_refuses_stale_directory(tmp_path, capsys):

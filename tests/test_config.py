@@ -10,6 +10,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,7 +137,18 @@ def test_default_config_takes_the_documented_noise_density():
 
 def test_topology_takes_the_config_radius():
     cfg = ExperimentConfig(n_aps=3, n_clients=12, slots=1, seed=4)
-    assert generate_topology(cfg).radius == cfg.radius
+    topo = generate_topology(cfg)
+    diff = topo.client_positions[:, None, :] - topo.ap_positions[None, :, :]
+    distance = np.hypot(diff[..., 0], diff[..., 1])  # (M, N)
+
+    def pairs_within(radius):
+        client, ap = np.nonzero(distance <= radius)
+        return set(zip(ap.tolist(), client.tolist()))
+
+    assert set(zip(topo.pairs.ap.tolist(), topo.pairs.client.tolist())) == pairs_within(cfg.radius)
+    # the draw has links on both sides of the edge, so another radius shows
+    assert pairs_within(0.95 * cfg.radius) != pairs_within(cfg.radius)
+    assert pairs_within(1.05 * cfg.radius) != pairs_within(cfg.radius)
 
 
 # the deployment cases of test_cli::test_config_values_out_of_physical_range_exit_2

@@ -16,7 +16,6 @@ from mmwassoc.exact import (
     _pivot,
     branch_and_bound,
     enumerate_assignments,
-    lp_cs_residual,
     solve_lp_relaxation,
     solve_milp_exact,
 )
@@ -30,6 +29,8 @@ from oracles import (
     beta_dict,
     brute_force,
     candidates_of_client,
+    lp_cs_residual,
+    lp_solution,
     random_full_instance,
     random_subset_instance,
     ref_pivot,
@@ -269,10 +270,11 @@ def test_lp_lower_bounds_milp():
 def test_lp_solution_is_feasible_point():
     rng = np.random.default_rng(31)
     inst = random_subset_instance(rng)
-    lp = solve_lp_relaxation(inst)
-    assert lp.fractional.shape == inst.beta.shape
+    lp = lp_solution(inst)
+    assert repr(lp.value) == repr(solve_lp_relaxation(inst).optimal_value)
+    assert lp.point.shape == inst.beta.shape
     beta = beta_dict(inst)  # keyed by (ap, client) in pair order
-    fractional = dict(zip(beta, lp.fractional.tolist()))
+    fractional = dict(zip(beta, lp.point.tolist()))
     for j, cands in enumerate(candidates_of_client(inst)):
         total = sum(fractional[(i, j)] for i in cands)
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -281,14 +283,15 @@ def test_lp_solution_is_feasible_point():
     loads = np.zeros(inst.n_aps)
     for (i, j), x in fractional.items():
         loads[i] += beta[(i, j)] * x
-    assert loads.max() <= lp.optimal_value + 1e-8
+    assert loads.max() <= lp.value + 1e-8
 
 
 def test_lp_complementary_slackness():
     rng = np.random.default_rng(37)
     for _ in range(15):
         inst = random_subset_instance(rng)
-        lp = solve_lp_relaxation(inst)
+        lp = lp_solution(inst)
+        assert repr(lp.value) == repr(solve_lp_relaxation(inst).optimal_value)
         assert lp_cs_residual(inst, lp) <= 1e-8
 
 
@@ -322,14 +325,14 @@ def test_dual_value_anywhere_is_lp_lower_bound():
 
 
 def assert_same_lp(inst):
-    """`solve_lp_relaxation` equals the reference simplex bit for bit and
-    certifies itself by complementary slackness."""
-    new, ref = solve_lp_relaxation(inst), ref_solve_lp_relaxation(inst)
-    assert repr(new.optimal_value) == repr(ref.optimal_value)
-    assert new.fractional.dtype == ref.fractional.dtype
-    assert new.fractional.tobytes() == ref.fractional.tobytes()
+    """The library's simplex equals the reference simplex bit for bit and
+    certifies itself by complementary slackness, and `solve_lp_relaxation`
+    reports that simplex's value and pivot count."""
+    lp, new, ref = solve_lp_relaxation(inst), lp_solution(inst), ref_solve_lp_relaxation(inst)
+    assert repr(lp.optimal_value) == repr(new.value) == repr(ref.value)
+    assert lp.nodes_explored == new.pivots == ref.pivots
+    assert new.point.dtype == ref.point.dtype and new.point.tobytes() == ref.point.tobytes()
     assert new.duals.dtype == ref.duals.dtype and new.duals.tobytes() == ref.duals.tobytes()
-    assert new.nodes_explored == ref.nodes_explored
     assert lp_cs_residual(inst, new) <= 1e-8
 
 

@@ -32,7 +32,7 @@ def test_single_ap_topology_covers_everyone():
     cfg = small_cfg(n_aps=1, n_clients=200)
     topo = generate_topology(cfg)
     radius = cell_radius(cfg.channel, 10.0 ** (cfg.target_snr_db / 10.0))
-    assert topo.radius == pytest.approx(radius, rel=1e-12)
+    assert cfg.radius == pytest.approx(radius, rel=1e-12)
     dists = np.hypot(*(topo.client_positions - topo.ap_positions[0]).T)
     assert dists.max() <= radius
     assert candidates_of_client(topo) == ((0,),) * 200
@@ -42,14 +42,14 @@ def test_ap_spacing_follows_config():
     cfg = small_cfg(n_aps=4, ap_spacing_factor=1.3)
     topo = generate_topology(cfg)
     spacing = np.diff(topo.ap_positions[:, 0])
-    assert spacing == pytest.approx([1.3 * topo.radius] * 3, rel=1e-12)
+    assert spacing == pytest.approx([1.3 * cfg.radius] * 3, rel=1e-12)
     assert topo.ap_positions[:, 1] == pytest.approx([0.0] * 4, abs=0.0)
 
 
 def test_two_cell_overlap_fraction_matches_lens_area():
     cfg = small_cfg(n_aps=2, n_clients=100_000)
     topo = generate_topology(cfg)
-    expected = lens_over_union(topo.radius, 1.1 * topo.radius)
+    expected = lens_over_union(cfg.radius, 1.1 * cfg.radius)
     overlap = sum(len(c) == 2 for c in candidates_of_client(topo)) / topo.n_clients
     assert overlap == pytest.approx(expected, rel=0.02)
 
