@@ -206,6 +206,22 @@ def test_distributed_run_takes_every_iteration_past_a_zero_gap():
     assert run.messages.coordination_rounds == 100
 
 
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_stopped_chain_run_keeps_an_earlier_dual_value(m):
+    # the chain's gap closes at k = 3 or 7 with g_best = 0.5; a full run sums
+    # a dual value one ulp above 0.5 from k = 26 to 31 on
+    inst = example1_instance(m, 0.5)
+    stopped = run_daa(inst, max_iters=100, stop_at_zero_gap=True)
+    full = run_daa(inst, max_iters=100)
+    n = stopped.iterations_run
+    assert n < full.iterations_run
+    assert stopped.duals == full.duals[:n] and stopped.primals == full.primals[:n]
+    assert stopped.assignment == full.assignment
+    assert repr(stopped.primal_value) == repr(full.primal_value) == "0.5"
+    assert repr(stopped.dual_value) == "0.5"
+    assert repr(full.dual_value) == "0.5000000000000001"
+
+
 def test_convergence_bound_decreasing_in_k():
     inst = example1_instance(4, 0.5)
     bounds = [convergence_bound(inst, 1.0, k) for k in (1, 2, 5, 10, 100, 1000)]
