@@ -7,10 +7,9 @@ per-AP subgradient, and re-projects the prices after a diminishing a/k step.
 Every iterate is primal feasible, so the loop also tracks the best integral
 assignment seen so far.
 
-The distributed variant runs the identical arithmetic staged as protocol
-rounds (AP price broadcast, client decision, binary client signal, per-AP
-accumulation, AP-coordinated projection) and reports the messages those
-rounds send.
+The distributed variant runs `run_daa` once and reports the signalling a
+message-passing deployment of K iterations would need, in closed form:
+N*K price broadcasts, M*K client signals and K coordination rounds.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Assignment, Instance
+from .instance import Assignment, Instance, chosen_loads
 
 __all__ = [
     "SolveReport",
@@ -127,7 +126,8 @@ def run_daa(
     g_best <= p* <= p_best then proves the recovered assignment optimal.
     The gap is checked where a block of dual values is summed, after
     iterations 1, 3, 7, 15, ..., so a stopped run's series is a prefix of
-    the full run's.
+    the full run's.  A later g_k may still round above g_best, so the full
+    run's dual value can be larger by an ulp or so.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -161,10 +161,10 @@ def run_daa(
     primals: list[float] = []
     best_primal, best_key = math.inf, b""
     best_dual = -math.inf
-    # with the stop, blocks of 1, 2, 4, ... iterations up to the buffer's, so
-    # that a gap that closes early is seen early; reducing a (rows, M) block
-    # row by row gives the same floats for any number of rows
-    first, size = 1, 1 if stop_at_zero_gap else block
+    # blocks of 1, 2, 4, ... iterations up to the buffer's, so that a gap that
+    # closes early is seen early; reducing a (rows, M) block row by row gives
+    # the same floats for any number of rows
+    first, size = 1, 1
 
     while first <= max_iters:
         last = min(first + size, max_iters + 1)
@@ -173,11 +173,7 @@ def run_daa(
             key = w.argmin(axis=1, out=c).tobytes()
             entry = memo.get(key)
             if entry is None:
-                # loads accumulate in client order
-                chosen = row + c
-                loads = np.bincount(
-                    ap.take(chosen), weights=beta.take(chosen), minlength=n_aps
-                ).tolist()
+                loads = chosen_loads(inst, table.take(row + c)).tolist()
                 entry = (loads, float(max(loads)))  # float even with no clients
                 if len(memo) * n_clients < _MEMO_CELLS:
                     memo[key] = entry
@@ -199,21 +195,21 @@ def run_daa(
 
     best_chosen = ap.take(row + np.frombuffer(best_key, dtype=np.intp))
     assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
-    # weak duality keeps every g_k below every t_k, so max(duals) <= best_primal
+    # weak duality puts every g_k at or below every t_k up to summation
+    # rounding: max(duals) may pass best_primal by an ulp or so
     return SolveReport(duals, primals, assignment, best_dual)
 
 
 def run_daa_distributed(
     inst: Instance, max_iters: int, step_scale: float = 1.0
 ) -> DistributedRun:
-    """Message-passing staging of the same iteration, with signalling counts.
+    """`run_daa` for all `max_iters` iterations, with the signalling counts a
+    message-passing deployment of that run would need.
 
-    The arithmetic is identical to `run_daa` (bitwise, including tie-breaks),
-    so both produce the same price trajectory and the same best assignment.
-    Every iteration, each AP broadcasts its price to its local clients, each
-    client signals (one bit) only the AP it picked, which then sums beta over
-    its signalling clients locally, and AP 1 acts as coordinator: it gathers
-    the u components, projects, and redistributes the new prices.
+    The counts are closed-form, not counted from exchanged messages: every
+    iteration each AP broadcasts its price to its clients (N*K broadcasts),
+    each client signals one bit to the AP it picked (M*K signals), and one
+    AP gathers the loads, projects and redistributes the prices (K rounds).
     """
     report = run_daa(inst, max_iters, step_scale)
     messages = MessageCounts(

@@ -28,6 +28,7 @@ __all__ = [
     "instance_from_beta",
     "example1_instance",
     "example2_instance",
+    "chosen_loads",
     "per_ap_loads",
     "make_assignment",
     "instance_to_json",
@@ -355,7 +356,13 @@ def per_ap_loads(inst: Instance, ap_of_client: Sequence[int]) -> np.ndarray:
     if idx.size < inst.n_clients:  # APs are unique per client: one match each
         j = int(np.argmin(np.bincount(pairs.client[idx], minlength=inst.n_clients)))
         raise ValueError(f"AP {ap_of_client[j]} is not a candidate of client {j}")
-    loads = np.bincount(pairs.ap[idx], weights=inst.beta[idx], minlength=inst.n_aps)
+    return chosen_loads(inst, idx)
+
+
+def chosen_loads(inst: Instance, idx: np.ndarray) -> np.ndarray:
+    """Per-AP utilization sums over the chosen pairs `idx`, one pair per
+    client in client order, so each AP's sum accumulates in client order."""
+    loads = np.bincount(inst.pairs.ap.take(idx), weights=inst.beta.take(idx), minlength=inst.n_aps)
     return loads.astype(float, copy=False)  # bincount of no clients is integer
 
 

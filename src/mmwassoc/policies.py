@@ -13,9 +13,8 @@ __all__ = [
 ]
 
 
-def random_policy(inst: Instance, seed: int | np.random.Generator) -> Assignment:
+def random_policy(inst: Instance, rng: np.random.Generator) -> Assignment:
     """Assign every client uniformly at random over its candidate set."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     # one scalar draw per client: an array-valued draw consumes the stream
     # differently and would change every random-policy result
     offsets = [rng.integers(size) for size in inst.pairs.sizes.tolist()]
@@ -23,14 +22,12 @@ def random_policy(inst: Instance, seed: int | np.random.Generator) -> Assignment
     return make_assignment(inst, choice.tolist())
 
 
-def rssi_policy(inst: Instance, received_powers: np.ndarray) -> Assignment:
-    """Assign every client to its strongest received power, ties to the
-    smallest AP index.  Powers are given per pair, aligned with `inst.pairs`."""
+def rssi_policy(inst: Instance) -> Assignment:
+    """Assign every client to its strongest link, ties to the smallest AP
+    index.  Every link shares one budget, so its Shannon rate rises with its
+    received power, and the rates rank a client's links as the powers do."""
     pairs = inst.pairs
-    powers = np.asarray(received_powers, dtype=float)
-    if powers.shape != pairs.ap.shape:
-        raise ValueError(f"need {pairs.ap.size} received powers, one per pair, got {powers.size}")
-    return make_assignment(inst, pairs.ap[pairs.first_argmin(-powers)].tolist())
+    return make_assignment(inst, pairs.ap[pairs.first_argmin(-inst.rate)].tolist())
 
 
 def jain_index(inst: Instance, a: Assignment) -> float:

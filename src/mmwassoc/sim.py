@@ -154,7 +154,7 @@ class ExperimentResult:
     aggregates: dict[str, float | int | None]
 
 
-def generate_topology(cfg: ExperimentConfig, seed: int | None = None) -> Topology:
+def generate_topology(cfg: ExperimentConfig) -> Topology:
     """Linear cell deployment with clients uniform over the union of disks.
 
     The radius is the config's; APs sit on a line with spacing
@@ -166,7 +166,7 @@ def generate_topology(cfg: ExperimentConfig, seed: int | None = None) -> Topolog
     ap_positions = np.column_stack(
         [np.arange(cfg.n_aps) * spacing, np.zeros(cfg.n_aps)]
     )
-    rng = _stream(cfg.seed if seed is None else seed, _PURPOSE_TOPOLOGY)
+    rng = _stream(cfg.seed, _PURPOSE_TOPOLOGY)
     lo = np.array([-radius, -radius])
     hi = np.array([(cfg.n_aps - 1) * spacing + radius, radius])
     accepted: list[np.ndarray] = []
@@ -195,8 +195,7 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     # one scalar channel call per pair, on Python floats: vectorized numpy
     # power and log2 round differently in the last bit on some pairs
     pair_draws = zip(topo.distance.tolist(), fading.tolist())
-    gains = [compute_gain(cfg.channel, d, a) for d, a in pair_draws]
-    rates = [compute_rate(cfg.channel, g) for g in gains]
+    rates = [compute_rate(cfg.channel, compute_gain(cfg.channel, d, a)) for d, a in pair_draws]
     try:
         inst = build_instance(topo, demands, rates)
     except InfeasibleClientError:
@@ -208,9 +207,7 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
         inst, max_iters=cfg.daa_iters, step_scale=cfg.step_scale, stop_at_zero_gap=True
     )
     rand_assignment = random_policy(inst, _stream(cfg.seed, _PURPOSE_RANDOM_POLICY, slot))
-    n = topo.n_aps  # (client, ap) -> client * n + ap orders the pairs
-    kept = np.isin(topo.pairs.client * n + topo.pairs.ap, inst.pairs.client * n + inst.pairs.ap)
-    rssi_assignment = rssi_policy(inst, cfg.channel.tx_power * np.array(gains)[kept])
+    rssi_assignment = rssi_policy(inst)
 
     p_exact = p_relax = jain_exact = relative_gap = None
     exact_wanted = cfg.with_exact and (

@@ -7,12 +7,14 @@ geometry/projection checks are closed-form or first-principles.  The
 pruning, per-AP loads, client subproblem and certificates, kept as
 references for the library's pair-array forms, plus the segmented-numpy
 form of the dual iteration and the numpy simplex projection, kept as
-bitwise references for the solver's padded-table loop, and the masked
-outer-product tableau simplex, kept as the bitwise reference for the LP
-relaxation's pivots.  The library's LP returns only its value and pivot
-count; `lp_solution` runs a simplex on the same standard form to give the
-tests the pair point and the basis duals as well, and `lp_cs_residual`
-checks that solution by complementary slackness.  `candidates_of_client`,
+bitwise references for the solver's padded-table loop, the received-power
+ranking the RSSI policy once used (`ref_rssi_choice`), kept as the
+reference for its ranking by rate, and the masked outer-product tableau
+simplex, kept as the bitwise reference for the LP relaxation's pivots.
+The library's LP returns only its value and pivot count; `lp_solution`
+runs a simplex on the same standard form to give the tests the pair point
+and the basis duals as well, and `lp_cs_residual` checks that solution by
+complementary slackness.  `candidates_of_client`,
 `clients_of_ap` and `pair_values` convert between the pair arrays and the
 per-client, per-AP and dict forms the tests state their expectations in.
 `recording` captures the price vectors a dual loop projects, which its
@@ -33,7 +35,8 @@ import numpy as np
 
 from mmwassoc.dual_solver import SolveReport, trace_csv_lines
 from mmwassoc.exact import _lp_matrix, _two_phase_simplex
-from mmwassoc.instance import Assignment, InfeasibleClientError, Instance, instance_from_beta
+from mmwassoc.instance import Assignment, InfeasibleClientError, Instance, Topology
+from mmwassoc.instance import instance_from_beta
 
 _REL_TOL = 1e-12
 
@@ -332,6 +335,16 @@ def _ref_first_argmin(inst: Instance, values: np.ndarray) -> np.ndarray:
     at_min = values <= seg_min[pairs.client]
     pair_idx = np.where(at_min, np.arange(values.size), values.size)
     return np.minimum.reduceat(pair_idx, pairs.start)
+
+
+def ref_rssi_choice(topo: Topology, inst: Instance, powers: np.ndarray) -> tuple[int, ...]:
+    """Per client, the AP of its strongest kept link by received power, ties
+    to the smallest AP.  `powers` holds one received power per topology
+    pair; a pair is kept when its key client * N + ap is one of the
+    instance's."""
+    n = topo.n_aps
+    kept = np.isin(topo.pairs.client * n + topo.pairs.ap, inst.pairs.client * n + inst.pairs.ap)
+    return tuple(inst.pairs.ap[_ref_first_argmin(inst, -powers[kept])].tolist())
 
 
 def subproblems(inst: Instance, prices) -> tuple[list[int], float]:

@@ -249,7 +249,7 @@ def test_criterion_8_property_suites(relaxation_instances):
             if subproblems(inst, lam)[1] > milp.optimal_value + 1e-9:
                 weak_duality_ok = False
 
-    # distributed staging identical to the centralized loop, bitwise
+    # the distributed variant's report is the centralized loop's, bitwise
     distributed_ok = True
     for _ in range(50):
         inst = random_full_instance(rng, n_lo=2, n_hi=5, m_lo=4, m_hi=12)

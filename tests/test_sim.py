@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ def test_topology_reproducible_for_seed():
     t1 = generate_topology(cfg)
     t2 = generate_topology(cfg)
     assert np.array_equal(t1.client_positions, t2.client_positions)
-    t3 = generate_topology(cfg, seed=cfg.seed + 1)
+    t3 = generate_topology(replace(cfg, seed=cfg.seed + 1))
     assert not np.array_equal(t1.client_positions, t3.client_positions)
 
 
