@@ -123,7 +123,8 @@ def run_daa(
     with size step_scale/k before re-projecting.  Runs `max_iters`
     iterations, or with `stop_at_zero_gap` stops earlier once the best
     primal value is at most the best dual value: the certificate
-    g_best <= p* <= p_best then proves the recovered assignment optimal.
+    g_best <= p* <= p_best then proves the recovered assignment optimal, up
+    to the few ulps by which rounding can lift a summed g_k.
     The gap is checked where a block of dual values is summed, after
     iterations 1, 3, 7, 15, ..., so a stopped run's series is a prefix of
     the full run's.  A later g_k may still round above g_best, so the full
