@@ -27,6 +27,8 @@ __all__ = [
 
 ENUMERATION_LIMIT = 1_000_000  # assignments; beyond this the search branches
 DEFAULT_NODE_BUDGET = 20_000_000
+# load-table cells one enumeration step may build; bounds the live table per client level
+_CHUNK_CELLS = 16_384
 
 _RC_TOL = 1e-9  # reduced-cost tolerance
 _PIV_TOL = 1e-10
@@ -76,6 +78,17 @@ def enumerate_assignments(
     survives.  The result is thus bitwise that of the full table, and
     `nodes_explored` still counts the whole assignment space, which the
     result certifies.
+
+    The table is walked depth-first in row chunks: before client j is added,
+    a table whose children could exceed _CHUNK_CELLS cells is cut, in row
+    order, into chunks of max(1, _CHUNK_CELLS // (size_j * n_aps)) rows, and
+    each chunk goes through the remaining clients before the next one
+    starts.  Chunks end in row order and the running best is replaced only
+    on a strict `<`, so the first optimum still wins; once a leaf is found,
+    U drops to its objective, which only drops rows that cannot beat it.
+    Every table built thus holds at most max(_CHUNK_CELLS, size * n_aps)
+    cells (size the largest candidate set), and at most one table per
+    client level is live, whatever the number of surviving rows.
     """
     product = inst.candidate_product()
     if product > limit:
@@ -84,23 +97,39 @@ def enumerate_assignments(
         )
     bound = _greedy_incumbent(inst, warm_start).objective
     pairs = inst.pairs
-    sizes = pairs.sizes.tolist()
-    loads = np.zeros((1, inst.n_aps))
-    index = np.zeros(1, dtype=np.int64)  # each row's mixed-radix assignment index
-    for lo, size in zip(pairs.start.tolist(), sizes):
+    n_clients, n_aps = inst.n_clients, inst.n_aps
+    starts, sizes = pairs.start.tolist(), pairs.sizes.tolist()
+    best_value, best_index = math.inf, -1
+    # (client to add next, loads, each row's mixed-radix assignment index);
+    # the top of the stack is the earliest chunk in row order
+    stack = [(0, np.zeros((1, n_aps)), np.zeros(1, dtype=np.int64))]
+    while stack:
+        j, loads, index = stack.pop()
+        if j == n_clients:
+            objectives = loads.max(axis=1, initial=0.0)
+            row = int(np.argmin(objectives))
+            if objectives[row] < best_value:
+                best_value, best_index = float(objectives[row]), int(index[row])
+                bound = min(bound, best_value)
+            continue
+        lo, size = starts[j], sizes[j]
+        chunk = max(1, _CHUNK_CELLS // (size * n_aps))  # rows whose children fit
+        if loads.shape[0] > chunk:
+            for k in reversed(range(0, loads.shape[0], chunk)):
+                stack.append((j, loads[k : k + chunk], index[k : k + chunk]))
+            continue
         aps = pairs.ap[lo : lo + size]
         changed = loads[:, aps] + inst.beta[lo : lo + size]  # (rows, size) block
         row, choice = np.nonzero(changed <= bound)  # row-major: order is kept
-        loads = loads[row]
-        loads[np.arange(row.size), aps[choice]] = changed[row, choice]
-        index = index[row] * size + choice
-    objectives = loads.max(axis=1, initial=0.0)
-    best = int(np.argmin(objectives))
+        if row.size:
+            children = loads[row]
+            children[np.arange(row.size), aps[choice]] = changed[row, choice]
+            stack.append((j + 1, children, index[row] * size + choice))
     # the index is mixed-radix in the candidate-set sizes, last client fastest
-    digits = np.asarray(np.unravel_index(int(index[best]), sizes), dtype=np.int64)
+    digits = np.asarray(np.unravel_index(best_index, sizes), dtype=np.int64)
     choice = pairs.ap[pairs.start + digits].tolist()
     return ExactResult(
-        optimal_value=float(objectives[best]),
+        optimal_value=best_value,
         assignment=make_assignment(inst, choice),
         nodes_explored=max(int(round(product)), 1),
     )

@@ -300,8 +300,13 @@ def test_stopped_run_is_a_prefix_of_the_full_run(inst, iters, step, cells):
     for series in ("duals", "primals"):
         assert repr(getattr(stopped, series)) == repr(getattr(full, series)[:n])
     assert stopped.assignment == full.assignment
-    for attr in ("primal_value", "dual_value", "gap_certificate"):
+    for attr in ("primal_value", "gap_certificate"):
         assert repr(getattr(stopped, attr)) == repr(getattr(full, attr))
+    # the stopped run keeps its prefix's best dual value, which later
+    # iterations may still raise by rounding (see test_dual_solver's
+    # test_stopped_chain_run_keeps_an_earlier_dual_value)
+    assert repr(stopped.dual_value) == repr(max(full.duals[:n]))
+    assert stopped.dual_value <= full.dual_value
     # the run ends at the first block end where p_best - g_best <= 0
     for end in ends[: ends.index(n)]:
         assert min(stopped.primals[:end]) - max(stopped.duals[:end]) > 0.0

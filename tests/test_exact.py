@@ -1,5 +1,7 @@
 import pickle
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mmwassoc import sim
+from mmwassoc import exact, sim
 from mmwassoc.cli import parse_experiment_config
 from mmwassoc.dual_solver import run_daa
 from mmwassoc.exact import (
@@ -95,14 +97,28 @@ def small_search_spaces(draw):
     return instance_from_beta(n, m, beta)
 
 
+# table cells per enumeration step: chunks of one row, of a few rows (one to
+# 48, by the candidate-set size and N), and of the default size
+CHUNK_CELLS = (1, 48, exact._CHUNK_CELLS)
+
+
+def chunked(solve, inst, **kwargs):
+    """`solve(inst, **kwargs)` at each of CHUNK_CELLS."""
+    results = []
+    for cells in CHUNK_CELLS:
+        with mock.patch.object(exact, "_CHUNK_CELLS", cells):
+            results.append(solve(inst, **kwargs))
+    return results
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(small_search_spaces())
 def test_bounded_enumeration_matches_brute_force_bitwise(inst):
     oracle_val, oracle_map = brute_force(inst)
-    result = enumerate_assignments(inst)
-    assert repr(result.optimal_value) == repr(oracle_val)
-    assert result.assignment.ap_of_client == oracle_map
-    assert result.nodes_explored == int(inst.candidate_product())
+    for result in chunked(enumerate_assignments, inst):
+        assert repr(result.optimal_value) == repr(oracle_val)
+        assert result.assignment.ap_of_client == oracle_map
+        assert result.nodes_explored == int(inst.candidate_product())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -112,7 +128,9 @@ def test_enumeration_bounded_by_a_warm_start_matches_brute_force_bitwise(inst, d
     oracle_val, oracle_map = brute_force(inst)
     drawn = tuple(data.draw(st.sampled_from(c)) for c in candidates_of_client(inst))
     warm = make_assignment(inst, data.draw(st.sampled_from([oracle_map, drawn])))
-    for result in (enumerate_assignments(inst, warm_start=warm), solve_milp_exact(inst, warm_start=warm)):
+    results = chunked(enumerate_assignments, inst, warm_start=warm)
+    results += chunked(solve_milp_exact, inst, warm_start=warm)
+    for result in results:
         assert repr(result.optimal_value) == repr(oracle_val)
         assert result.assignment.ap_of_client == oracle_map
         assert result.nodes_explored == int(inst.candidate_product())
@@ -126,17 +144,41 @@ def test_enumeration_returns_first_optimum_when_greedy_ties_later():
     )
     greedy = _greedy_incumbent(inst)
     assert (greedy.ap_of_client, greedy.objective) == ((1, 0), 0.5)
-    result = enumerate_assignments(inst)
-    assert result.optimal_value == 0.5
-    assert result.assignment.ap_of_client == (0, 1)
+    for result in chunked(enumerate_assignments, inst):
+        assert result.optimal_value == 0.5
+        assert result.assignment.ap_of_client == (0, 1)
 
 
 def test_zero_client_instance_has_empty_optimum():
     inst = instance_from_beta(3, 0, {})
-    for result in (enumerate_assignments(inst), solve_milp_exact(inst)):
+    for result in chunked(enumerate_assignments, inst) + chunked(solve_milp_exact, inst):
         assert result.optimal_value == 0.0
         assert result.assignment.ap_of_client == ()
         assert result.nodes_explored == 1
+
+
+def test_enumeration_memory_stays_bounded_when_nothing_is_pruned():
+    # client j reaches only APs 2j and 2j+1, so every assignment ties at 0.5
+    # and the bound prunes none of the 2^16 rows (27 MB as one table)
+    m = 16
+    inst = instance_from_beta(
+        2 * m, m, {(i, j): 0.5 for j in range(m) for i in (2 * j, 2 * j + 1)}
+    )
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = enumerate_assignments(inst)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    oracle_val, oracle_map = brute_force(inst)
+    assert repr(result.optimal_value) == repr(oracle_val)
+    assert result.assignment.ap_of_client == oracle_map
+    # per client level, one table of at most max(_CHUNK_CELLS, size * N)
+    # float cells, plus its row indices and the step's temporaries: 16 bytes
+    # a cell covers them
+    assert peak <= 16 * (m + 1) * max(exact._CHUNK_CELLS, 2 * inst.n_aps)
 
 
 def test_enumeration_respects_limit():
@@ -405,3 +447,25 @@ def test_lp_matches_reference_simplex_on_mc_exact_slots(monkeypatch):
     assert len(solved) > 20
     for inst in solved:
         assert_same_lp(inst)
+
+
+def test_enumeration_matches_brute_force_on_the_heaviest_mc_exact_slots(monkeypatch):
+    # the largest tables found on the benchmark's mc_exact rounds: 62,610
+    # rows (seed 157, slot 2) and 49,010 (seed 35, slot 1) stay within the
+    # solver's warm-start bound
+    calls = []
+
+    def recording_milp(inst, warm_start=None, lower_bound=None):
+        calls.append((inst, warm_start))
+        return solve_milp_exact(inst, warm_start=warm_start, lower_bound=lower_bound)
+
+    monkeypatch.setattr(sim, "solve_milp_exact", recording_milp)
+    for seed, slot in ((157, 2), (35, 1)):
+        cfg = replace(parse_experiment_config(MC_EXACT), seed=seed)
+        sim.run_slot(cfg, sim.generate_topology(cfg), slot)
+    assert len(calls) == 2
+    for inst, warm in calls:
+        oracle_val, oracle_map = brute_force(inst)
+        result = enumerate_assignments(inst, warm_start=warm)
+        assert repr(result.optimal_value) == repr(oracle_val)
+        assert result.assignment.ap_of_client == oracle_map
