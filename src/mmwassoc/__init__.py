@@ -18,14 +18,11 @@ from .channel import (
     snr_at_distance,
 )
 from .dual_solver import (
-    DistributedRun,
-    MessageCounts,
     SolveReport,
     convergence_bound,
     duality_gap_bound,
     project_simplex,
     run_daa,
-    run_daa_distributed,
 )
 from .exact import (
     ExactResult,

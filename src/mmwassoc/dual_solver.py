@@ -6,10 +6,6 @@ closed-form subproblem (pick the AP minimizing beta*price), accumulates the
 per-AP subgradient, and re-projects the prices after a diminishing a/k step.
 Every iterate is primal feasible, so the loop also tracks the best integral
 assignment seen so far.
-
-The distributed variant runs `run_daa` once and reports the signalling a
-message-passing deployment of K iterations would need, in closed form:
-N*K price broadcasts, M*K client signals and K coordination rounds.
 """
 
 from __future__ import annotations
@@ -24,11 +20,8 @@ from .instance import Assignment, Instance, chosen_loads
 
 __all__ = [
     "SolveReport",
-    "MessageCounts",
-    "DistributedRun",
     "project_simplex",
     "run_daa",
-    "run_daa_distributed",
     "convergence_bound",
     "duality_gap_bound",
     "trace_csv_lines",
@@ -67,24 +60,9 @@ class SolveReport:
 
     @property
     def gap_certificate(self) -> float:
-        # summation rounding can push the dual a few ulps past an exactly
-        # optimal primal; the certificate is still a width, never negative
+        # float prices summing a few ulps above 1 can lift the dual past an
+        # exactly optimal primal; the certificate is still a width, never negative
         return max(0.0, self.primal_value - self.dual_value)
-
-
-@dataclass
-class MessageCounts:
-    """Signalling volume of a distributed run."""
-
-    broadcasts: int = 0  # AP price broadcasts to local clients
-    client_signals: int = 0  # binary client-to-chosen-AP signals
-    coordination_rounds: int = 0  # AP-to-AP rounds for the projection
-
-
-@dataclass
-class DistributedRun:
-    report: SolveReport
-    messages: MessageCounts
 
 
 def project_simplex(v: Sequence[float]) -> list[float]:
@@ -103,10 +81,14 @@ def project_simplex(v: Sequence[float]) -> list[float]:
         css += x
         if x * r > css - 1.0:
             rho, top = r, css
-    if not rho:  # no entry, or x > x - 1.0 fails for every one beyond ~2**53
-        raise ValueError("entries too large to project in double precision")
-    if not math.isfinite(css):  # a NaN or infinite entry, or an overflowing sum
-        raise ValueError("entries must be finite")
+    if not (rho and math.isfinite(css)):  # the fault is named only here, off the fast path
+        if not len(v):
+            raise ValueError("expected a nonempty 1-D vector")
+        if not all(map(math.isfinite, v)):
+            raise ValueError("entries must be finite")
+        if not rho:  # x > x - 1.0 fails for every entry beyond ~2**53
+            raise ValueError("entries too large to project in double precision")
+        # else the entries are finite and only their sum overflowed, after rho
     theta = (top - 1.0) / rho
     # x - theta rounds to the exact difference's sign, and to +0.0 at x ==
     # theta: the clamp of np.maximum(x - theta, 0.0), which returns +0.0
@@ -124,11 +106,12 @@ def run_daa(
     iterations, or with `stop_at_zero_gap` stops earlier once the best
     primal value is at most the best dual value: the certificate
     g_best <= p* <= p_best then proves the recovered assignment optimal, up
-    to the few ulps by which rounding can lift a summed g_k.
-    The gap is checked where a block of dual values is summed, after
-    iterations 1, 3, 7, 15, ..., so a stopped run's series is a prefix of
-    the full run's.  A later g_k may still round above g_best, so the full
-    run's dual value can be larger by an ulp or so.
+    to a few ulps: g_k scales with the prices' sum, and the float prices
+    can sum a few ulps above the 1 that weak duality assumes.  The gap is
+    checked where a block of dual values is summed, after iterations 1, 3,
+    7, 15, ..., so a stopped run's series is a prefix of the full run's.
+    A later g_k may still pass g_best that way, so the full run's dual
+    value can be larger by an ulp or so.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -196,29 +179,9 @@ def run_daa(
 
     best_chosen = ap.take(row + np.frombuffer(best_key, dtype=np.intp))
     assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
-    # weak duality puts every g_k at or below every t_k up to summation
-    # rounding: max(duals) may pass best_primal by an ulp or so
+    # weak duality puts every g_k at or below every t_k up to the prices'
+    # excess over a unit sum: max(duals) may pass best_primal by an ulp or so
     return SolveReport(duals, primals, assignment, best_dual)
-
-
-def run_daa_distributed(
-    inst: Instance, max_iters: int, step_scale: float = 1.0
-) -> DistributedRun:
-    """`run_daa` for all `max_iters` iterations, with the signalling counts a
-    message-passing deployment of that run would need.
-
-    The counts are closed-form, not counted from exchanged messages: every
-    iteration each AP broadcasts its price to its clients (N*K broadcasts),
-    each client signals one bit to the AP it picked (M*K signals), and one
-    AP gathers the loads, projects and redistributes the prices (K rounds).
-    """
-    report = run_daa(inst, max_iters, step_scale)
-    messages = MessageCounts(
-        broadcasts=inst.n_aps * max_iters,
-        client_signals=inst.n_clients * max_iters,
-        coordination_rounds=max_iters,
-    )
-    return DistributedRun(report=report, messages=messages)
 
 
 def convergence_bound(inst: Instance, step_scale: float, k: int) -> float:

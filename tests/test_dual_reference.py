@@ -2,6 +2,7 @@
 segmented-numpy references in `oracles`, bit for bit."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -168,15 +169,24 @@ entries = st.one_of(
     st.integers(0, 200),
 )
 @example([1.0, -0.0], None, 0)  # theta 0.0 meets x = -0.0: the clamp gives +0.0
+@example([], None, 0)
+@example([0.0], math.inf, 0)  # no threshold either, but the infinity is the fault
+@example([1.0, -1e308, -1e308], None, 0)  # finite entries, the sum overflows past rho
 def test_project_simplex_matches_reference_bitwise(values, bad, at):
     # an empty list, or one with a NaN or infinite entry at `at`, must raise;
-    # the reference refuses them all, as it does entries with no threshold
+    # the reference refuses them all, as it does entries with no threshold,
+    # and the solver names the same fault
     if bad is not None:
         values.insert(at % (len(values) + 1), bad)
     try:
-        expected = ref_project_simplex(np.array(values))
-    except (IndexError, ValueError):
-        with pytest.raises(ValueError):
+        with np.errstate(over="ignore"):  # the overflowing example's running sum
+            expected = ref_project_simplex(np.array(values))
+    except IndexError:  # no threshold index
+        with pytest.raises(ValueError, match="too large to project"):
+            project_simplex(values)
+        return
+    except ValueError as refusal:  # empty, or a non-finite entry
+        with pytest.raises(ValueError, match=re.escape(str(refusal))):
             project_simplex(values)
         return
     got = project_simplex(values)
@@ -303,8 +313,8 @@ def test_stopped_run_is_a_prefix_of_the_full_run(inst, iters, step, cells):
     for attr in ("primal_value", "gap_certificate"):
         assert repr(getattr(stopped, attr)) == repr(getattr(full, attr))
     # the stopped run keeps its prefix's best dual value, which later
-    # iterations may still raise by rounding (see test_dual_solver's
-    # test_stopped_chain_run_keeps_an_earlier_dual_value)
+    # iterations, at prices that sum above 1, may still raise (see
+    # test_dual_solver's test_stopped_chain_run_keeps_an_earlier_dual_value)
     assert repr(stopped.dual_value) == repr(max(full.duals[:n]))
     assert stopped.dual_value <= full.dual_value
     # the run ends at the first block end where p_best - g_best <= 0

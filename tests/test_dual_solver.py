@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from mmwassoc.dual_solver import (
     duality_gap_bound,
     project_simplex,
     run_daa,
-    run_daa_distributed,
     trace_csv_lines,
 )
 from mmwassoc.exact import solve_lp_relaxation
 from mmwassoc.instance import (
     example1_instance,
-    example2_instance,
     instance_from_beta,
     make_assignment,
     per_ap_loads,
@@ -109,9 +108,11 @@ def test_project_simplex_kkt_idempotence_nonexpansiveness():
 
 
 def test_project_simplex_rejects_bad_input():
-    for v in ([math.nan, 0.5], [0.5, math.nan], [math.inf, 0.5], [0.5, -math.inf], []):
-        with pytest.raises(ValueError):
+    for v in ([math.nan], [math.nan, 0.5], [0.5, math.nan], [math.inf, 0.0], [0.5, -math.inf]):
+        with pytest.raises(ValueError, match="entries must be finite"):
             project_simplex(v)
+    with pytest.raises(ValueError, match="expected a nonempty 1-D vector"):
+        project_simplex([])
 
 
 def test_run_daa_solves_chain_fixture():
@@ -169,57 +170,46 @@ def test_price_scaling_leaves_subproblems_unchanged():
         assert subproblems(inst, scale * prices)[0] == choices
 
 
-def test_distributed_matches_centralized_bitwise():
-    rng = np.random.default_rng(29)
-    for _ in range(8):
-        inst = random_subset_instance(rng)
-        with recording(dual_solver, "project_simplex") as central_prices:
-            central = run_daa(inst, max_iters=150)
-        with recording(dual_solver, "project_simplex") as dist_prices:
-            dist = run_daa_distributed(inst, max_iters=150)
-        assert trace_rows(central) == trace_rows(dist.report)
-        assert central.assignment == dist.report.assignment
-        assert len(central_prices) == len(dist_prices) == 150
-        for a, b in zip(central_prices, dist_prices):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_distributed_message_counts():
-    inst = example2_instance(2, 0.3, 2, 0.1)
-    one = run_daa_distributed(inst, max_iters=1)
-    assert one.messages.broadcasts == inst.n_aps
-    assert one.messages.client_signals == inst.n_clients
-    assert one.messages.coordination_rounds == 1
-    ten = run_daa_distributed(inst, max_iters=10)
-    assert ten.messages.broadcasts == 10 * inst.n_aps
-    assert ten.messages.client_signals == 10 * inst.n_clients
-    assert ten.messages.coordination_rounds == 10
-
-
-def test_distributed_run_takes_every_iteration_past_a_zero_gap():
-    inst = example1_instance(3, 0.5)  # the gap closes at k = 3
-    assert run_daa(inst, max_iters=100, stop_at_zero_gap=True).iterations_run == 3
-    run = run_daa_distributed(inst, max_iters=100)
-    assert run.report.iterations_run == 100
-    assert run.messages.broadcasts == 100 * inst.n_aps
-    assert run.messages.client_signals == 100 * inst.n_clients
-    assert run.messages.coordination_rounds == 100
-
-
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_stopped_chain_run_keeps_an_earlier_dual_value(m):
-    # the chain's gap closes at k = 3 or 7 with g_best = 0.5; a full run sums
-    # a dual value one ulp above 0.5 from k = 26 to 31 on
+    # the chain's gap closes at k = 3 or 7 with g_best = 0.5; a full run
+    # reaches a dual value one ulp above 0.5 from k = 26 to 31 on, at prices
+    # that sum above 1 (see the next test)
     inst = example1_instance(m, 0.5)
     stopped = run_daa(inst, max_iters=100, stop_at_zero_gap=True)
     full = run_daa(inst, max_iters=100)
     n = stopped.iterations_run
-    assert n < full.iterations_run
+    assert n == (3 if m == 3 else 7)
+    assert full.iterations_run == 100  # without the stop, all K iterations
     assert stopped.duals == full.duals[:n] and stopped.primals == full.primals[:n]
     assert stopped.assignment == full.assignment
     assert repr(stopped.primal_value) == repr(full.primal_value) == "0.5"
     assert repr(stopped.dual_value) == "0.5"
     assert repr(full.dual_value) == "0.5000000000000001"
+
+
+@pytest.mark.parametrize(
+    ("m", "best_k", "dual"), [(3, 26, "0.5000000000000001"), (8, 3, "0.5000000000000002")]
+)
+def test_dual_value_above_the_optimum_comes_from_prices_summing_above_one(m, best_k, dual):
+    # g_best passes the chain's optimum 1/2 because the best iterate's float
+    # prices sum to slightly more than 1, not because the dual sum rounds:
+    # the exact dual value at those prices rounds to the float reported, and
+    # at the prices scaled onto the simplex it is exactly the optimum
+    inst = example1_instance(m, 0.5)
+    with recording(dual_solver, "project_simplex") as projected:
+        report = run_daa(inst, max_iters=100)
+    assert report.duals.index(report.dual_value) + 1 == best_k
+    # the prices iteration best_k weighs with, projected after iteration best_k - 1
+    prices = [Fraction(p) for p in projected[best_k - 2].tolist()]
+    beta, ap = inst.beta.tolist(), inst.pairs.ap.tolist()
+    exact = sum(
+        min(Fraction(beta[q]) * prices[ap[q]] for q in row)
+        for row in inst.pairs.table.tolist()
+    )
+    assert sum(prices) > 1
+    assert exact > Fraction(1, 2) and repr(float(exact)) == repr(report.dual_value) == dual
+    assert exact / sum(prices) == Fraction(1, 2) == Fraction(report.primal_value)
 
 
 def test_convergence_bound_decreasing_in_k():
