@@ -83,10 +83,10 @@ class Pairs:
         start = np.searchsorted(client, np.arange(n_clients))
         return cls(_frozen(client.astype(np.int64)), _frozen(ap.astype(np.int64)), _frozen(start))
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
         """Candidate-set size of every client."""
-        return np.diff(self.start, append=self.client.size)
+        return _frozen(np.diff(self.start, append=self.client.size))
 
     @cached_property
     def table(self) -> np.ndarray:

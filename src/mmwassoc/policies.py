@@ -15,9 +15,9 @@ __all__ = [
 
 def random_policy(inst: Instance, rng: np.random.Generator) -> Assignment:
     """Assign every client uniformly at random over its candidate set."""
-    # one scalar draw per client: an array-valued draw consumes the stream
-    # differently and would change every random-policy result
-    offsets = [rng.integers(size) for size in inst.pairs.sizes.tolist()]
+    # one scalar draw per client with more than one AP (integers(1) draws
+    # nothing): an array-valued draw would change every random-policy result
+    offsets = [rng.integers(size) if size > 1 else 0 for size in inst.pairs.sizes.tolist()]
     choice = inst.pairs.ap[inst.pairs.start + np.array(offsets, dtype=np.int64)]
     return make_assignment(inst, choice.tolist())
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .channel import ChannelParams, InfeasibleRadiusError, cell_radius, compute_gain, compute_rate
 from .channel import default_params
-from .dual_solver import duality_gap_bound, run_daa
+from .dual_solver import SolveReport, duality_gap_bound, run_daa
 from .exact import solve_lp_relaxation, solve_milp_exact
-from .instance import InfeasibleClientError, Topology, build_instance, check_ap_count
+from .instance import InfeasibleClientError, Instance, Topology, build_instance, check_ap_count
 from .instance import topology_from_positions
 from .policies import jain_index, random_policy, rssi_policy
 
@@ -36,6 +36,8 @@ __all__ = [
     "SlotResult",
     "ExperimentResult",
     "generate_topology",
+    "draw_instance",
+    "score_slot",
     "run_slot",
     "run_experiment",
     "sweep",
@@ -186,8 +188,9 @@ def generate_topology(cfg: ExperimentConfig) -> Topology:
     return topology_from_positions(ap_positions, client_positions, radius)
 
 
-def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
-    """Evaluate one time slot: fresh fading and demands, every policy."""
+def draw_instance(cfg: ExperimentConfig, topo: Topology, slot: int) -> Instance:
+    """The slot's instance: fresh fading and demands on the topology's pairs.
+    An infeasible draw raises InfeasibleClientError naming the client."""
     fading = _stream(cfg.seed, _PURPOSE_FADING, slot).exponential(1.0, size=topo.distance.size)
     demands = _stream(cfg.seed, _PURPOSE_DEMANDS, slot).uniform(
         0.0, cfg.demand_max, size=topo.n_clients
@@ -196,16 +199,12 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     # power and log2 round differently in the last bit on some pairs
     pair_draws = zip(topo.distance.tolist(), fading.tolist())
     rates = [compute_rate(cfg.channel, compute_gain(cfg.channel, d, a)) for d, a in pair_draws]
-    try:
-        inst = build_instance(topo, demands, rates)
-    except InfeasibleClientError:
-        return SlotResult(slot=slot, feasible=False)
+    return build_instance(topo, demands, rates)
 
-    # a zero gap p_best - g_best certifies the recovered assignment optimal,
-    # so the slot stops there
-    report = run_daa(
-        inst, max_iters=cfg.daa_iters, step_scale=cfg.step_scale, stop_at_zero_gap=True
-    )
+
+def score_slot(cfg: ExperimentConfig, inst: Instance, report: SolveReport, slot: int) -> SlotResult:
+    """The feasible slot's result: the solver's `report` against the random
+    and RSSI policies and, when wanted, the exact oracles."""
     rand_assignment = random_policy(inst, _stream(cfg.seed, _PURPOSE_RANDOM_POLICY, slot))
     rssi_assignment = rssi_policy(inst)
 
@@ -241,6 +240,18 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
         jain_exact=jain_exact,
         relative_gap=relative_gap,
     )
+
+
+def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
+    """Evaluate one time slot: draw its instance, solve it once, score it."""
+    try:
+        inst = draw_instance(cfg, topo, slot)
+    except InfeasibleClientError:
+        return SlotResult(slot=slot, feasible=False)
+    # a zero gap p_best - g_best certifies the recovered assignment optimal,
+    # so the slot stops there
+    report = run_daa(inst, cfg.daa_iters, cfg.step_scale, stop_at_zero_gap=True)
+    return score_slot(cfg, inst, report, slot)
 
 
 def _run_share(cfg: ExperimentConfig, topo: Topology, share: range) -> list[SlotResult]:

@@ -347,6 +347,12 @@ def ref_rssi_choice(topo: Topology, inst: Instance, powers: np.ndarray) -> tuple
     return tuple(inst.pairs.ap[_ref_first_argmin(inst, -powers[kept])].tolist())
 
 
+def ref_random_offsets(sizes, rng: np.random.Generator) -> list[int]:
+    """The random policy's offsets by one scalar `integers(size)` per client,
+    in client order, one-AP clients included."""
+    return [int(rng.integers(size)) for size in sizes]
+
+
 def subproblems(inst: Instance, prices) -> tuple[list[int], float]:
     """Every client's AP choice at `prices`, and the dual value there, through
     the padded-table argmin the solver's loop relies on: each client picks

@@ -70,17 +70,33 @@ def test_tracer_counts_are_ints_read_from_the_results(monkeypatch):
 
 def test_tracer_counts_every_hot_call_the_program_makes(monkeypatch):
     # a hot call the program makes under another name than the patched one
-    # would leave its counter at 0 and charge its time to the enclosing span
-    cfg = sim.ExperimentConfig(n_aps=2, n_clients=6, slots=1, daa_iters=20, seed=0)
+    # would leave its counter at 0 and charge its time to the enclosing span;
+    # a slot stage that bound a hooked name at import would call the original,
+    # so that layer's span would be missing and its figure would read 0
+    cfg = sim.ExperimentConfig(
+        n_aps=2, n_clients=6, slots=1, daa_iters=20, seed=0, with_exact=True, force_exact=True
+    )
     topo = sim.generate_topology(cfg)
     tracer = load_tracer(monkeypatch).Tracer()
     try:
         tracer.install(*MODULES)
         sim.run_daa(example1_instance(3, 0.5), max_iters=7)
-        assert sim.run_slot(cfg, topo, 0).feasible
+        assert sim.run_slot(cfg, topo, 0).p_exact is not None
     finally:
         tracer.restore()
     summary = tracer.summary()
+    assert set(summary["spans"]) >= {
+        "sim.run_slot",
+        "instance.build_instance",
+        "dual_solver.run_daa",
+        "policies.random_policy",
+        "policies.rssi_policy",
+        "policies.jain_index",
+        "dual_solver.duality_gap_bound",
+        "exact.solve_lp_relaxation",
+        "exact.solve_milp_exact",
+    }
+    assert summary["spans"]["policies.jain_index"]["calls"] == 4  # DAA, random, RSSI, exact
     calls = {name: counter["calls"] for name, counter in summary["counters"].items()}
     hot = ("channel.compute_gain", "channel.compute_rate", "dual_solver.project_simplex")
     assert sorted(calls) == sorted(hot)

@@ -51,6 +51,15 @@ def test_topology_candidate_sets_and_consistency():
             assert j in clients_of_ap(topo)[i]
 
 
+def test_pair_sizes_are_cached_and_read_only():
+    pairs = two_ap_topology().pairs
+    sizes = pairs.sizes
+    assert sizes.tolist() == [2, 1, 1]
+    assert pairs.sizes is sizes
+    with pytest.raises(ValueError, match="read-only"):
+        sizes[0] = 3
+
+
 def test_topology_rejects_isolated_client():
     with pytest.raises(InfeasibleClientError):
         topology_from_positions([(0.0, 0.0)], [(10.0, 0.0)], radius=2.0)

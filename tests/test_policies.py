@@ -17,7 +17,8 @@ from mmwassoc.instance import (
 )
 from mmwassoc.policies import jain_index, random_policy, rssi_policy
 from mmwassoc.sim import ExperimentConfig, generate_topology, run_slot
-from oracles import beta_dict, brute_force, random_subset_instance, recording, ref_rssi_choice
+from oracles import beta_dict, brute_force, random_subset_instance, recording
+from oracles import ref_random_offsets, ref_rssi_choice
 
 
 def rng(seed):
@@ -33,6 +34,18 @@ def test_random_policy_trivial_when_no_choice():
     inst = instance_from_beta(2, 2, {(0, 0): 0.3, (1, 1): 0.4})
     for seed in range(5):
         assert random_policy(inst, rng(seed)).ap_of_client == (0, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+def test_random_policy_draws_as_the_per_client_loop(sizes, seed):
+    # client j's candidates are APs 0..sizes[j]-1, so its AP is its offset;
+    # skipping the one-AP clients' integers(1) must leave the stream as it was
+    beta = {(i, j): 0.5 for j, size in enumerate(sizes) for i in range(size)}
+    inst = instance_from_beta(max(sizes), len(sizes), beta)
+    ours, ref = rng(seed), rng(seed)
+    assert list(random_policy(inst, ours).ap_of_client) == ref_random_offsets(sizes, ref)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_random_policy_marginal_is_uniform_binomial():

@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -6,21 +7,34 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mmwassoc.channel import cell_radius, default_params
 from mmwassoc import dual_solver, sim
+from mmwassoc.cli import parse_experiment_config
+from mmwassoc.instance import InfeasibleClientError
 from mmwassoc.sim import (
     ExperimentConfig,
+    SlotResult,
     aggregate,
+    draw_instance,
     generate_topology,
     run_experiment,
     run_slot,
+    score_slot,
     sweep,
 )
 from oracles import candidates_of_client, lens_over_union
+
+
+WORKLOADS = Path(__file__).parent.parent / "bench" / "workloads"
+
+
+def workload_cfg(name):
+    return parse_experiment_config(json.loads((WORKLOADS / f"{name}.json").read_text()))
 
 
 def small_cfg(**overrides):
@@ -77,6 +91,26 @@ def test_run_slot_is_pure():
     cfg = small_cfg()
     topo = generate_topology(cfg)
     assert repr(run_slot(cfg, topo, 3)) == repr(run_slot(cfg, topo, 3))
+
+
+@pytest.mark.parametrize("name", ["mc_default", "mc_exact"])
+def test_run_slot_is_the_draw_one_solve_and_the_score(name):
+    cfg = workload_cfg(name)
+    topo = generate_topology(cfg)
+    for t in (0, 3):
+        inst = draw_instance(cfg, topo, t)
+        report = dual_solver.run_daa(inst, cfg.daa_iters, cfg.step_scale, stop_at_zero_gap=True)
+        assert repr(run_slot(cfg, topo, t)) == repr(score_slot(cfg, inst, report, t))
+
+
+def test_infeasible_draw_names_its_client_and_the_slot_counts_it():
+    cfg = workload_cfg("mc_default")
+    topo = generate_topology(cfg)
+    with pytest.raises(InfeasibleClientError) as info:
+        draw_instance(cfg, topo, 4)
+    assert info.value.client == 61
+    assert info.value.reason == "all candidate links pruned (utilization > 1)"
+    assert repr(run_slot(cfg, topo, 4)) == repr(SlotResult(slot=4, feasible=False))
 
 
 def test_single_slot_run_is_deterministic():
