@@ -437,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except NodeBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: the shell's status for SIGINT, no traceback
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 1_000_000  # assignments; beyond this the search branches
-DEFAULT_NODE_BUDGET = 20_000_000
+DEFAULT_NODE_BUDGET = 20_000_000  # branch-and-bound nodes per search
 # load-table cells one enumeration step may build; bounds the live table per client level
 _CHUNK_CELLS = 16_384
 
@@ -59,10 +59,9 @@ class NodeBudgetExceeded(RuntimeError):
         return type(self), (self.incumbent,)
 
 
-def enumerate_assignments(
-    inst: Instance, limit: int = ENUMERATION_LIMIT, warm_start: Assignment | None = None
-) -> ExactResult:
-    """Exhaustive minimum over every one-AP-per-client assignment.
+def enumerate_assignments(inst: Instance, warm_start: Assignment | None = None) -> ExactResult:
+    """Exhaustive minimum over every one-AP-per-client assignment; a space
+    above ENUMERATION_LIMIT assignments is refused with a ValueError.
 
     Grows a (rows, n_aps) load table client by client, adding each choice's
     utilization to the one column it changes, so every load is the same
@@ -91,9 +90,9 @@ def enumerate_assignments(
     client level is live, whatever the number of surviving rows.
     """
     product = inst.candidate_product()
-    if product > limit:
+    if product > ENUMERATION_LIMIT:
         raise ValueError(
-            f"search space {product:.3g} exceeds the enumeration limit {limit}"
+            f"search space {product:.3g} exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
     bound = _greedy_incumbent(inst, warm_start).objective
     pairs = inst.pairs
@@ -169,10 +168,7 @@ def _greedy_incumbent(inst: Instance, warm_start: Assignment | None = None) -> A
 
 
 def branch_and_bound(
-    inst: Instance,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    warm_start: Assignment | None = None,
-    lower_bound: float | None = None,
+    inst: Instance, warm_start: Assignment | None = None, lower_bound: float | None = None
 ) -> ExactResult:
     """Depth-first branch-and-bound on the client choices.
 
@@ -185,7 +181,8 @@ def branch_and_bound(
     certified bound on the optimum (e.g. the relaxation value): the search
     stops as soon as the incumbent is within 1e-12 of it.  The search runs
     on an explicit stack, so its depth is not bounded by Python's recursion
-    limit.
+    limit.  After DEFAULT_NODE_BUDGET nodes it raises NodeBudgetExceeded,
+    which carries the incumbent.
     """
     n = inst.n_aps
     cheapest, client_options = _client_options(inst)
@@ -213,7 +210,7 @@ def branch_and_bound(
     incumbent = _greedy_incumbent(inst, warm_start)
     incumbent_val = incumbent.objective
 
-    nodes = 0
+    nodes, node_budget = 0, DEFAULT_NODE_BUDGET  # a local: the node loop looks up no global
     done_at = -math.inf if lower_bound is None else lower_bound + 1e-12
 
     def result() -> ExactResult:
@@ -267,23 +264,17 @@ def branch_and_bound(
 
 
 def solve_milp_exact(
-    inst: Instance,
-    budget: int = DEFAULT_NODE_BUDGET,
-    enumeration_limit: int = ENUMERATION_LIMIT,
-    warm_start: Assignment | None = None,
-    lower_bound: float | None = None,
+    inst: Instance, warm_start: Assignment | None = None, lower_bound: float | None = None
 ) -> ExactResult:
     """Exact minimum of the max AP utilization over integral assignments.
 
-    Enumerates when the assignment space fits `enumeration_limit`, otherwise
-    branch-and-bound within `budget` nodes (NodeBudgetExceeded carries the
-    incumbent when the budget runs out).
+    Enumerates when the assignment space fits min(ENUMERATION_LIMIT,
+    DEFAULT_NODE_BUDGET), otherwise branches and bounds (NodeBudgetExceeded
+    carries the incumbent when DEFAULT_NODE_BUDGET nodes run out).
     """
-    if inst.candidate_product() <= min(enumeration_limit, budget):
-        return enumerate_assignments(inst, limit=enumeration_limit, warm_start=warm_start)
-    return branch_and_bound(
-        inst, node_budget=budget, warm_start=warm_start, lower_bound=lower_bound
-    )
+    if inst.candidate_product() <= min(ENUMERATION_LIMIT, DEFAULT_NODE_BUDGET):
+        return enumerate_assignments(inst, warm_start=warm_start)
+    return branch_and_bound(inst, warm_start=warm_start, lower_bound=lower_bound)
 
 
 def _two_phase_simplex(

@@ -11,6 +11,7 @@ renamed attribute would make those figures read 0.
 import importlib.util
 import sys
 from pathlib import Path
+from unittest import mock
 
 from mmwassoc import cli, dual_solver, exact, sim
 from mmwassoc.instance import example1_instance
@@ -54,7 +55,8 @@ def test_tracer_counts_are_ints_read_from_the_results(monkeypatch):
         sim.run_daa(inst, max_iters=7)
         sim.solve_lp_relaxation(inst)
         sim.solve_milp_exact(inst)  # enumerates
-        sim.solve_milp_exact(inst, enumeration_limit=1)  # branches and bounds
+        with mock.patch.object(exact, "ENUMERATION_LIMIT", 1):
+            sim.solve_milp_exact(inst)  # branches and bounds
     finally:
         tracer.restore()
     counts = {rec["name"]: rec["info"] for rec in tracer.spans if rec.get("info")}

@@ -3,10 +3,11 @@ import json
 import multiprocessing
 import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from mmwassoc import cli, sim
+from mmwassoc import cli, exact, sim
 from mmwassoc.cli import main
 from mmwassoc.dual_solver import convergence_bound
 from mmwassoc.instance import example1_instance, instance_from_json, instance_to_json
@@ -419,9 +420,13 @@ def budget_from_slot_2(tmp_path, monkeypatch):
         return run_slot(cfg, topo, slot)
 
     def budgeted(inst, **kwargs):
-        if current["slot"] >= 2:
-            kwargs.update(budget=10, enumeration_limit=1)
-        return solve_milp_exact(inst, **kwargs)
+        if current["slot"] < 2:
+            return solve_milp_exact(inst, **kwargs)
+        # patched around the call, so the limits hold only from slot 2 on, in
+        # whichever process runs the slot
+        with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", 10):
+            with mock.patch.object(exact, "ENUMERATION_LIMIT", 1):
+                return solve_milp_exact(inst, **kwargs)
 
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sim, "run_slot", tagged_run_slot)
@@ -476,6 +481,34 @@ def test_experiment_reports_a_dead_worker_in_one_line(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err
     assert one_error_line(err, "the worker for slots 2..3 exited with code 3")
     assert err.startswith("error: experiment failed: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_ctrl_c_exits_130_in_one_line(tmp_path, capsys, monkeypatch, jobs):
+    # slot 0 is in the caller's share; a worker that raised it would die and
+    # show up as a WorkerError instead
+    run_slot = sim.run_slot
+
+    def interrupted_run_slot(cfg, topo, slot):
+        if slot == 0:
+            raise KeyboardInterrupt
+        return run_slot(cfg, topo, slot)
+
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sim, "run_slot", interrupted_run_slot)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": 4, "daa_iters": 20}))
+    out = tmp_path / "out"
+    argv = ["experiment", "--config", str(path), "--jobs", jobs, "--out", str(out)]
+    try:
+        code = main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert code == 130
+    err = capsys.readouterr().err
+    assert err == "error: interrupted\n"
+    assert not list(out.glob("*.csv"))
+    assert sim._workers == []
 
 
 @requires_fork

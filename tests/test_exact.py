@@ -183,8 +183,9 @@ def test_enumeration_memory_stays_bounded_when_nothing_is_pruned():
 
 def test_enumeration_respects_limit():
     inst = random_full_instance(np.random.default_rng(5), n_lo=3, n_hi=3, m_lo=10, m_hi=10)
-    with pytest.raises(ValueError, match="enumeration limit"):
-        enumerate_assignments(inst, limit=100)
+    with mock.patch.object(exact, "ENUMERATION_LIMIT", 100):
+        with pytest.raises(ValueError, match="enumeration limit 100"):
+            enumerate_assignments(inst)
 
 
 def test_branch_and_bound_equals_enumeration():
@@ -209,8 +210,9 @@ def test_branch_and_bound_accepts_warm_start():
 def test_budget_exhaustion_carries_incumbent():
     rng = np.random.default_rng(17)
     inst = random_full_instance(rng, n_lo=4, n_hi=4, m_lo=12, m_hi=12)
-    with pytest.raises(NodeBudgetExceeded) as err:
-        branch_and_bound(inst, node_budget=10)
+    with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", 10):
+        with pytest.raises(NodeBudgetExceeded) as err:
+            branch_and_bound(inst)
     incumbent = err.value.incumbent
     assert incumbent.assignment is not None
     assert incumbent.optimal_value >= brute_force(inst)[0] - 1e-12
@@ -220,8 +222,9 @@ def test_budget_exhaustion_survives_pickling():
     # a worker process sends its exception to the caller pickled
     rng = np.random.default_rng(17)
     inst = random_full_instance(rng, n_lo=4, n_hi=4, m_lo=12, m_hi=12)
-    with pytest.raises(NodeBudgetExceeded) as err:
-        branch_and_bound(inst, node_budget=10)
+    with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", 10):
+        with pytest.raises(NodeBudgetExceeded) as err:
+            branch_and_bound(inst)
     copy = pickle.loads(pickle.dumps(err.value))
     assert type(copy) is NodeBudgetExceeded
     assert str(copy) == str(err.value)
@@ -232,8 +235,9 @@ def test_budget_exhaustion_counts_only_budgeted_nodes():
     # the node that would break the budget is never evaluated, so not counted
     rng = np.random.default_rng(17)
     inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=30, m_hi=30)
-    with pytest.raises(NodeBudgetExceeded, match=r"exhausted after 10 nodes;") as err:
-        branch_and_bound(inst, node_budget=10)
+    with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", 10):
+        with pytest.raises(NodeBudgetExceeded, match=r"exhausted after 10 nodes;") as err:
+            branch_and_bound(inst)
     assert err.value.incumbent.nodes_explored == 10
 
 
@@ -241,9 +245,11 @@ def test_budget_equal_to_search_size_finishes_and_one_less_stops():
     rng = np.random.default_rng(23)
     inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=9, m_hi=9)
     full = branch_and_bound(inst)
-    assert repr(branch_and_bound(inst, node_budget=full.nodes_explored)) == repr(full)
-    with pytest.raises(NodeBudgetExceeded) as err:
-        branch_and_bound(inst, node_budget=full.nodes_explored - 1)
+    with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", full.nodes_explored):
+        assert repr(branch_and_bound(inst)) == repr(full)
+    with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", full.nodes_explored - 1):
+        with pytest.raises(NodeBudgetExceeded) as err:
+            branch_and_bound(inst)
     assert err.value.incumbent.nodes_explored == full.nodes_explored - 1
 
 
@@ -254,7 +260,8 @@ def test_branch_and_bound_depth_is_not_bounded_by_recursion():
     beta = {(i, j): float(1.0 - rng.uniform()) for i in range(2) for j in range(m)}
     inst = instance_from_beta(2, m, beta)
     try:
-        result = branch_and_bound(inst, node_budget=100_000)
+        with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", 100_000):
+            result = branch_and_bound(inst)
     except NodeBudgetExceeded as err:
         result = err.incumbent
     assert result.assignment is not None
@@ -272,7 +279,8 @@ def test_solve_milp_routes_small_to_enumeration():
 def test_solve_milp_routes_large_to_branch_and_bound():
     rng = np.random.default_rng(19)
     inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=14, m_hi=14)
-    result = solve_milp_exact(inst, enumeration_limit=1000)
+    with mock.patch.object(exact, "ENUMERATION_LIMIT", 1000):
+        result = solve_milp_exact(inst)
     assert result.optimal_value == pytest.approx(brute_force(inst)[0], abs=1e-12)
 
 
