@@ -44,7 +44,6 @@ from .instance import (
     instance_from_json,
     instance_to_json,
     make_assignment,
-    per_ap_loads,
     topology_from_positions,
 )
 from .policies import jain_index, random_policy, rssi_policy

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Assignment, Instance, chosen_loads
+from .instance import Instance, chosen_assignment, chosen_loads
 
 __all__ = [
     "SolveReport",
@@ -177,8 +177,7 @@ def run_daa(
             break
         first, size = last, min(2 * size, block)
 
-    best_chosen = ap.take(row + np.frombuffer(best_key, dtype=np.intp))
-    assignment = Assignment(ap_of_client=tuple(best_chosen.tolist()), objective=best_primal)
+    assignment = chosen_assignment(inst, table.take(row + np.frombuffer(best_key, dtype=np.intp)))
     # weak duality puts every g_k at or below every t_k up to the prices'
     # excess over a unit sum: max(duals) may pass best_primal by an ulp or so
     return SolveReport(duals, primals, assignment, best_dual)

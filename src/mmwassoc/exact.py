@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Assignment, Instance, make_assignment
+from .instance import Assignment, Instance, chosen_assignment, make_assignment
 
 __all__ = [
     "ExactResult",
@@ -72,7 +72,7 @@ def enumerate_assignments(inst: Instance, warm_start: Assignment | None = None) 
     The table is bounded by U, the objective of the greedy incumbent or of
     `warm_start` if smaller: a child row is kept only if its changed column
     is <= U.  Utilizations are positive, so loads never fall as clients are
-    added: a dropped row ends above U >= optimum (`per_ap_loads` adds in
+    added: a dropped row ends above U >= optimum (`Assignment.loads` add in
     client order, so U is its map's own row value), and every optimal row
     survives.  The result is thus bitwise that of the full table, and
     `nodes_explored` still counts the whole assignment space, which the
@@ -126,10 +126,9 @@ def enumerate_assignments(inst: Instance, warm_start: Assignment | None = None) 
             stack.append((j + 1, children, index[row] * size + choice))
     # the index is mixed-radix in the candidate-set sizes, last client fastest
     digits = np.asarray(np.unravel_index(best_index, sizes), dtype=np.int64)
-    choice = pairs.ap[pairs.start + digits].tolist()
     return ExactResult(
         optimal_value=best_value,
-        assignment=make_assignment(inst, choice),
+        assignment=chosen_assignment(inst, pairs.start + digits),
         nodes_explored=max(int(round(product)), 1),
     )
 

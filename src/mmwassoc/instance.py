@@ -29,7 +29,7 @@ __all__ = [
     "example1_instance",
     "example2_instance",
     "chosen_loads",
-    "per_ap_loads",
+    "chosen_assignment",
     "make_assignment",
     "instance_to_json",
     "instance_from_json",
@@ -185,10 +185,14 @@ class Instance:
 
 @dataclass(frozen=True)
 class Assignment:
-    """One AP per client, with the max-utilization objective it achieves."""
+    """One AP per client, with the per-AP utilization sums it produces."""
 
     ap_of_client: tuple[int, ...]
-    objective: float
+    loads: tuple[float, ...]  # each AP's sum accumulated in client order
+
+    @property
+    def objective(self) -> float:  # the max-utilization objective
+        return max(self.loads, default=0.0)
 
 
 def _assemble(
@@ -343,22 +347,6 @@ def example2_instance(
     return instance_from_beta(n, j, beta)
 
 
-def per_ap_loads(inst: Instance, ap_of_client: Sequence[int]) -> np.ndarray:
-    """Per-AP utilization sums under the given client->AP map.
-
-    Rejects a map that is not one candidate AP per client.  Each AP's sum
-    accumulates in client order.
-    """
-    if len(ap_of_client) != inst.n_clients:
-        raise ValueError("one AP per client required")
-    pairs = inst.pairs
-    idx = np.flatnonzero(pairs.ap == np.asarray(ap_of_client, dtype=np.int64)[pairs.client])
-    if idx.size < inst.n_clients:  # APs are unique per client: one match each
-        j = int(np.argmin(np.bincount(pairs.client[idx], minlength=inst.n_clients)))
-        raise ValueError(f"AP {ap_of_client[j]} is not a candidate of client {j}")
-    return chosen_loads(inst, idx)
-
-
 def chosen_loads(inst: Instance, idx: np.ndarray) -> np.ndarray:
     """Per-AP utilization sums over the chosen pairs `idx`, one pair per
     client in client order, so each AP's sum accumulates in client order."""
@@ -366,10 +354,26 @@ def chosen_loads(inst: Instance, idx: np.ndarray) -> np.ndarray:
     return loads.astype(float, copy=False)  # bincount of no clients is integer
 
 
+def chosen_assignment(inst: Instance, idx: np.ndarray) -> Assignment:
+    """The assignment of the chosen pairs `idx` (as in `chosen_loads`), unvalidated."""
+    ap_of_client = tuple(inst.pairs.ap.take(idx).tolist())
+    return Assignment(ap_of_client, tuple(chosen_loads(inst, idx).tolist()))
+
+
 def make_assignment(inst: Instance, ap_of_client: Sequence[int]) -> Assignment:
-    """Validate a client->AP map against the candidate sets and price it."""
-    objective = float(per_ap_loads(inst, ap_of_client).max(initial=0.0))
-    return Assignment(ap_of_client=tuple(int(i) for i in ap_of_client), objective=objective)
+    """Validate a client->AP map, one candidate AP per client, each an int
+    (never a bool), and price it."""
+    if len(ap_of_client) != inst.n_clients:
+        raise ValueError("one AP per client required")
+    for j, i in enumerate(ap_of_client):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n_aps:
+            raise ValueError(f"AP {i!r:.60} of client {j} is not an AP index")
+    pairs = inst.pairs
+    idx = np.flatnonzero(pairs.ap == np.asarray(ap_of_client, dtype=np.int64)[pairs.client])
+    if idx.size < inst.n_clients:  # APs are unique per client: one match each
+        j = int(np.argmin(np.bincount(pairs.client[idx], minlength=inst.n_clients)))
+        raise ValueError(f"AP {ap_of_client[j]} is not a candidate of client {j}")
+    return chosen_assignment(inst, idx)
 
 
 def instance_to_json(inst: Instance) -> dict:

@@ -219,7 +219,7 @@ def score_slot(cfg: ExperimentConfig, inst: Instance, report: SolveReport, slot:
         )
         p_exact = milp.optimal_value
         p_relax = lp.optimal_value
-        jain_exact = jain_index(inst, milp.assignment)
+        jain_exact = jain_index(milp.assignment)
         relative_gap = (
             (p_exact - report.dual_value) / p_exact if p_exact > 0.0 else 0.0
         )
@@ -231,9 +231,9 @@ def score_slot(cfg: ExperimentConfig, inst: Instance, report: SolveReport, slot:
         d_star=report.dual_value,
         p_rand=rand_assignment.objective,
         p_rssi=rssi_assignment.objective,
-        jain_daa=jain_index(inst, report.assignment),
-        jain_rand=jain_index(inst, rand_assignment),
-        jain_rssi=jain_index(inst, rssi_assignment),
+        jain_daa=jain_index(report.assignment),
+        jain_rand=jain_index(rand_assignment),
+        jain_rssi=jain_index(rssi_assignment),
         gap_bound=duality_gap_bound(inst),
         p_exact=p_exact,
         p_relax=p_relax,

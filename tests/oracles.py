@@ -278,6 +278,12 @@ def ref_per_ap_loads(inst: DictInstance, ap_of_client) -> np.ndarray:
     return loads
 
 
+def ref_jain_index(loads: np.ndarray) -> float:
+    """Jain's index over an array of per-AP loads, 1.0 when all are zero."""
+    denom = loads.size * float((loads**2).sum())
+    return 1.0 if denom == 0.0 else float(loads.sum()) ** 2 / denom
+
+
 def ref_client_subproblem(inst: DictInstance, prices: np.ndarray, j: int) -> int:
     best_ap = -1
     best_val = math.inf
@@ -380,6 +386,7 @@ def ref_run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> Solv
     prices = np.full(inst.n_aps, 1.0 / inst.n_aps)
     best_dual, best_primal = -math.inf, math.inf
     best_assignment: tuple[int, ...] = ()
+    best_loads: tuple[float, ...] = ()
     duals: list[float] = []
     primals: list[float] = []
     for k in range(1, max_iters + 1):
@@ -388,12 +395,13 @@ def ref_run_daa(inst: Instance, max_iters: int, step_scale: float = 1.0) -> Solv
         if t_k < best_primal:
             best_primal = t_k
             best_assignment = tuple(int(i) for i in chosen_ap)
+            best_loads = tuple(float(y) for y in loads)  # bincount of no clients is integer
         if g > best_dual:
             best_dual = g
         duals.append(g)
         primals.append(t_k)
         prices = ref_project_simplex(prices - (step_scale / k) * u)
-    assignment = Assignment(ap_of_client=best_assignment, objective=best_primal)
+    assignment = Assignment(ap_of_client=best_assignment, loads=best_loads)
     return SolveReport(duals, primals, assignment, best_dual)
 
 

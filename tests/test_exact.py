@@ -136,6 +136,14 @@ def test_enumeration_bounded_by_a_warm_start_matches_brute_force_bitwise(inst, d
         assert result.nodes_explored == int(inst.candidate_product())
 
 
+@pytest.mark.parametrize("oracle", [enumerate_assignments, branch_and_bound, solve_milp_exact])
+def test_warm_start_with_non_integral_ap_ids_is_refused(oracle):
+    inst = example1_instance(3, 0.5)
+    warm = replace(make_assignment(inst, [0, 1, 2]), ap_of_client=(0.9, 1.2, 2.7))
+    with pytest.raises(ValueError, match="client 0"):
+        oracle(inst, warm_start=warm)
+
+
 def test_enumeration_returns_first_optimum_when_greedy_ties_later():
     # greedy places client 1 (the harder one) first: map (1, 0) at 0.5; the
     # lexicographically earlier (0, 1) reaches the same 0.5

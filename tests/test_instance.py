@@ -18,7 +18,6 @@ from mmwassoc.instance import (
     instance_from_json,
     instance_to_json,
     make_assignment,
-    per_ap_loads,
     topology_from_positions,
 )
 from oracles import (
@@ -205,7 +204,11 @@ def test_assignment_objective_recomputes():
     inst = random_subset_instance(rng)
     choice = [cands[0] for cands in candidates_of_client(inst)]
     a = make_assignment(inst, choice)
-    assert a.objective == pytest.approx(per_ap_loads(inst, choice).max(), abs=1e-12)
+    loads = [0.0] * inst.n_aps
+    for j, i in enumerate(choice):
+        loads[i] += beta_dict(inst)[(i, j)]
+    assert a.loads == tuple(loads)
+    assert a.objective == max(loads)
     with pytest.raises(ValueError):
         make_assignment(inst, [inst.n_aps - 1] * inst.n_clients + [0])
 
@@ -214,6 +217,24 @@ def test_make_assignment_rejects_non_candidate():
     inst = example1_instance(3, 0.5)
     with pytest.raises(ValueError, match="not a candidate"):
         make_assignment(inst, [2, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "ap", [0.9, 1.0, np.float64(1.0), True, np.True_, None, "1", 2**70, -1, 3]
+)
+def test_make_assignment_rejects_what_is_not_an_ap_id(ap):
+    # client 1 of the chain reaches APs 0 and 1: no float, bool or string
+    # may be read as one of them, and every bad id is a ValueError
+    inst = example1_instance(3, 0.5)
+    with pytest.raises(ValueError, match="client 1"):
+        make_assignment(inst, [0, ap, 2])
+
+
+def test_make_assignment_accepts_python_and_numpy_integers():
+    inst = example1_instance(3, 0.5)
+    a = make_assignment(inst, [np.int64(0), np.int32(1), 2])
+    assert a.ap_of_client == (0, 1, 2)
+    assert all(type(i) is int for i in a.ap_of_client)
 
 
 def test_json_round_trip():
