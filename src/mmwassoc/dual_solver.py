@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance, chosen_assignment, chosen_loads
+from .instance import Assignment, Instance, checked, chosen_assignment, chosen_loads, is_int
 
 __all__ = [
     "SolveReport",
@@ -113,6 +113,7 @@ def run_daa(
     A later g_k may still pass g_best that way, so the full run's dual
     value can be larger by an ulp or so.
     """
+    checked(is_int(max_iters), max_iters, "max_iters", "an integer")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not 0.0 < step_scale < math.inf:

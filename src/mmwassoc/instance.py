@@ -34,6 +34,8 @@ __all__ = [
     "instance_to_json",
     "instance_from_json",
     "check_ap_count",
+    "checked",
+    "is_int",
     "json_int",
     "json_number",
     "json_bool",
@@ -366,7 +368,7 @@ def make_assignment(inst: Instance, ap_of_client: Sequence[int]) -> Assignment:
     if len(ap_of_client) != inst.n_clients:
         raise ValueError("one AP per client required")
     for j, i in enumerate(ap_of_client):
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < inst.n_aps:
+        if not is_int(i) or not 0 <= i < inst.n_aps:
             raise ValueError(f"AP {i!r:.60} of client {j} is not an AP index")
     pairs = inst.pairs
     idx = np.flatnonzero(pairs.ap == np.asarray(ap_of_client, dtype=np.int64)[pairs.client])
@@ -398,7 +400,11 @@ def check_ap_count(n_aps: int) -> int:
     return n_aps
 
 
-def _checked(ok: bool, value, name: str, what: str):
+def is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def checked(ok: bool, value, name: str, what: str):
     if not ok:
         raise ValueError(f"{name} must be {what}, got {value!r:.60}")
     return value
@@ -409,26 +415,26 @@ def json_int(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     ok = isinstance(value, int) and not isinstance(value, bool)
-    return _checked(ok, value, name, "an integer")
+    return checked(ok, value, name, "an integer")
 
 
 def json_number(value, name: str) -> float:
     """A finite JSON number (int or float, never a bool), as a float."""
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return float(_checked(ok and abs(value) <= sys.float_info.max, value, name, "a finite number"))
+    return float(checked(ok and abs(value) <= sys.float_info.max, value, name, "a finite number"))
 
 
 def json_bool(value, name: str) -> bool:
-    return _checked(isinstance(value, bool), value, name, "true or false")
+    return checked(isinstance(value, bool), value, name, "true or false")
 
 
 def json_list(value, name: str) -> list:
-    return _checked(isinstance(value, list), value, name, "a JSON array")
+    return checked(isinstance(value, list), value, name, "a JSON array")
 
 
 def json_object(value, name: str, *required: str) -> dict:
     """A JSON object holding every `required` key."""
-    _checked(isinstance(value, dict), value, name, "a JSON object")
+    checked(isinstance(value, dict), value, name, "a JSON object")
     for key in required:
         if key not in value:
             raise ValueError(f"{name} missing field {key!r}")

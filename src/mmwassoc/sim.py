@@ -13,7 +13,7 @@ import math
 import multiprocessing
 import os
 import signal
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .channel import default_params
 from .dual_solver import SolveReport, duality_gap_bound, run_daa
 from .exact import solve_lp_relaxation, solve_milp_exact
 from .instance import InfeasibleClientError, Instance, Topology, build_instance, check_ap_count
-from .instance import topology_from_positions
+from .instance import checked, is_int, topology_from_positions
 from .policies import jain_index, random_policy, rssi_policy
 
 if TYPE_CHECKING:  # imported at run time by the first Pipe(), never on the jobs=1 path
@@ -87,6 +87,8 @@ class ExperimentConfig:
     force_exact: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_aps", "n_clients", "slots", "daa_iters", "seed"):
+            checked(is_int(getattr(self, name)), getattr(self, name), name, "an integer")
         if self.n_aps < 1 or self.n_clients < 1 or self.slots < 1:
             raise ValueError("n_aps, n_clients and slots must be positive")
         check_ap_count(self.n_aps)  # generate_topology allocates per AP
@@ -96,10 +98,11 @@ class ExperimentConfig:
             raise ValueError("step_scale must be positive and finite")
         if not self.demand_max > 0.0:
             raise ValueError("demand_max must be strictly positive")
+        checked(self.demand_max < math.inf, self.demand_max, "demand_max", "finite")
+        checked(not math.isnan(self.exact_limit), self.exact_limit, "exact_limit", "a number")
         if not self.ap_spacing_factor > 0.0:
             raise ValueError("ap_spacing_factor must be strictly positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        checked(self.seed >= 0, self.seed, "seed", "non-negative")
         db = self.target_snr_db
         try:
             radius = self.radius
@@ -326,8 +329,11 @@ def _mean(values: Sequence[float]) -> float | None:
 
 
 def aggregate(results: Sequence[SlotResult]) -> dict:
-    """Arithmetic means over the feasible slots (exact metrics over the slots
-    where the oracle actually ran)."""
+    """The slot counters, then the mean of each SlotResult metric in field
+    order: over the feasible slots if it defaults to NaN, over the slots
+    where the oracle ran if it defaults to None (None if there are none);
+    `relative_gap` keeps its published key `ave_rdg`.  The gap keys that
+    follow use the oracle slots too, `_best` with p_daa in place of p_exact."""
     feasible = [r for r in results if r.feasible]
     with_exact = [r for r in feasible if r.p_exact is not None]
     agg: dict[str, float | int | None] = {
@@ -335,31 +341,15 @@ def aggregate(results: Sequence[SlotResult]) -> dict:
         "slots_feasible": len(feasible),
         "slots_infeasible": len(results) - len(feasible),
         "slots_with_exact": len(with_exact),
-        "p_daa": _mean([r.p_daa for r in feasible]),
-        "d_star": _mean([r.d_star for r in feasible]),
-        "p_rand": _mean([r.p_rand for r in feasible]),
-        "p_rssi": _mean([r.p_rssi for r in feasible]),
-        "jain_daa": _mean([r.jain_daa for r in feasible]),
-        "jain_rand": _mean([r.jain_rand for r in feasible]),
-        "jain_rssi": _mean([r.jain_rssi for r in feasible]),
-        "gap_bound": _mean([r.gap_bound for r in feasible]),
-        "p_exact": _mean([r.p_exact for r in with_exact]),
-        "p_relax": _mean([r.p_relax for r in with_exact]),
-        "jain_exact": _mean([r.jain_exact for r in with_exact]),
-        "ave_rdg": _mean([r.relative_gap for r in with_exact]),
     }
-    if with_exact:
-        # gap aggregates in the best-achieved variants use the solver's own
-        # primal/dual values against the oracle optimum
-        agg["ave_dg"] = agg["p_exact"] - _mean([r.d_star for r in with_exact])
-        agg["ave_rdg_best"] = _mean(
-            [(r.p_daa - r.d_star) / r.p_daa for r in with_exact if r.p_daa > 0]
-        )
-        agg["ave_dg_best"] = (
-            _mean([r.p_daa for r in with_exact]) - _mean([r.d_star for r in with_exact])
-        )
-    else:
-        agg["ave_dg"] = agg["ave_rdg_best"] = agg["ave_dg_best"] = None
+    for metric in fields(SlotResult)[2:]:  # after slot and feasible
+        over = with_exact if metric.default is None else feasible
+        key = "ave_rdg" if metric.name == "relative_gap" else metric.name
+        agg[key] = _mean([getattr(r, metric.name) for r in over])
+    d_star = _mean([r.d_star for r in with_exact])  # None when no oracle ran
+    agg["ave_dg"] = None if d_star is None else agg["p_exact"] - d_star
+    agg["ave_rdg_best"] = _mean([(r.p_daa - r.d_star) / r.p_daa for r in with_exact if r.p_daa > 0])
+    agg["ave_dg_best"] = None if d_star is None else _mean([r.p_daa for r in with_exact]) - d_star
     return agg
 
 

@@ -6,6 +6,7 @@ and a document the Python side rejects is rejected by the CLI too.
 """
 
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from mmwassoc import instance as instance_module
 from mmwassoc.channel import default_params
 from mmwassoc.cli import parse_experiment_config
-from mmwassoc.sim import ExperimentConfig, generate_topology
+from mmwassoc.sim import ExperimentConfig, generate_topology, run_experiment
 
 WORKLOADS = sorted((Path(__file__).parent.parent / "bench" / "workloads").glob("*.json"))
 README_DOC = {
@@ -191,3 +192,46 @@ def test_config_ap_ceiling_follows_max_aps(monkeypatch):
     assert_same_config(doc)
     assert_same_config({**doc, "n_aps": 4})
     assert parse_experiment_config({**doc, "n_aps": 4}).n_aps == 4
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_aps", 2.5),
+        ("n_aps", True),
+        ("n_clients", 10.5),
+        ("n_clients", np.float64(10.0)),
+        ("slots", 2.5),
+        ("daa_iters", 5.5),
+        ("daa_iters", math.inf),
+        ("seed", 1.5),
+    ],
+)
+def test_python_config_refuses_counts_that_are_not_integers(field, value):
+    # the CLI's readers refuse these before a config exists; a Python caller
+    # meets the same rule, not a TypeError inside numpy or an endless solve
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        ExperimentConfig(**{"n_aps": 2, "n_clients": 10, "slots": 1, field: value})
+
+
+def test_python_config_takes_numpy_integer_counts():
+    counts = {"n_aps": 2, "n_clients": 6, "slots": 2, "daa_iters": 20, "seed": 3}
+    numpy_counts = {key: np.int64(value) for key, value in counts.items()}
+    expected = run_experiment(ExperimentConfig(**counts)).aggregates
+    assert run_experiment(ExperimentConfig(**numpy_counts)).aggregates == expected
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [("demand_max", math.inf, "finite"), ("exact_limit", math.nan, "a number")],
+)
+def test_python_config_refuses_an_infinite_demand_or_a_nan_exact_limit(field, value, rule):
+    # an infinite demand bound overflows the first slot's draw, and a NaN
+    # limit would keep the exact oracle from ever running, silently
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+        ExperimentConfig(n_aps=2, n_clients=6, slots=1, with_exact=True, **{field: value})
+
+
+def test_python_config_takes_an_unlimited_exact_search():
+    cfg = ExperimentConfig(n_aps=2, n_clients=6, slots=1, with_exact=True, exact_limit=math.inf)
+    assert run_experiment(cfg).aggregates["slots_with_exact"] == 1

@@ -158,6 +158,14 @@ def test_run_daa_validates_arguments():
         run_daa(inst, max_iters=0)
     with pytest.raises(ValueError):
         run_daa(inst, max_iters=10, step_scale=0.0)
+    for max_iters in (2.5, 10.0, True):
+        with pytest.raises(ValueError, match="^max_iters must be an integer, got "):
+            run_daa(inst, max_iters)
+
+
+def test_run_daa_takes_a_numpy_iteration_count():
+    inst = example1_instance(3, 0.5)
+    assert run_daa(inst, np.int64(30)).duals == run_daa(inst, 30).duals
 
 
 def test_price_scaling_leaves_subproblems_unchanged():

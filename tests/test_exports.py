@@ -1,11 +1,14 @@
 """The export lists stay true to the code: every name in a module's
-`__all__` exists, and every public name the package re-exports is in the
-`__all__` of the module that defines it."""
+`__all__` exists, the type hints of every exported class and function
+resolve, and every public name the package re-exports is in the `__all__`
+of the module that defines it."""
 
 import importlib
+import inspect
 import pkgutil
 import sys
 import types
+import typing
 
 import pytest
 
@@ -23,6 +26,16 @@ def test_every_exported_name_resolves(module):
     assert len(set(exported)) == len(exported)
     missing = [name for name in exported if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_every_exported_type_hint_resolves(module):
+    # the annotations are strings (`from __future__ import annotations`), so a
+    # name used only in a hint and never imported fails only here
+    for name in getattr(module, "__all__", []):
+        value = getattr(module, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            typing.get_type_hints(value)
 
 
 def test_package_reexports_only_exported_names():
