@@ -15,7 +15,6 @@ from .channel import (
     compute_gain,
     compute_rate,
     default_params,
-    snr_at_distance,
 )
 from .dual_solver import (
     SolveReport,

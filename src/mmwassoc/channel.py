@@ -1,4 +1,4 @@
-"""60 GHz link budget: directional Friis gain, Shannon rate, SNR-vs-distance.
+"""60 GHz link budget: directional Friis gain, Shannon rate, cell radius.
 
 All quantities are linear and SI internally (meters, hertz, milliwatts for
 powers so the usual 60 GHz constants can be used verbatim).  Spectral
@@ -18,7 +18,6 @@ __all__ = [
     "dbm_per_mhz_to_mw_per_hz",
     "compute_gain",
     "compute_rate",
-    "snr_at_distance",
     "cell_radius",
 ]
 
@@ -131,34 +130,37 @@ def compute_rate(p: ChannelParams, gain: float) -> float:
     return p.bandwidth * math.log2(1.0 + snr)
 
 
-def snr_at_distance(p: ChannelParams, d: float) -> float:
-    """Deterministic SINR operating point at distance d (fading excluded).
+def cell_radius(p: ChannelParams, target_snr_db: float) -> float:
+    """Cell radius in meters: the r > d0 where the SINR of a unit-fading
+    link, P0*compute_gain(p, r, 1)/((N0+I)*W), falls to `target_snr_db` dB.
 
-    Constant P0*gTx*gRx*wavelength^2/(16*pi^2*(N0+I)*W) up to the reference
-    distance, decaying with (d/d0)^(-eta) beyond it: the SINR compute_rate
-    sees on a unit-fading link.
+    Raises InfeasibleRadiusError, naming the target, where no finite r
+    attains it, or where a unit-fading link at r has a rate of 0.  No link
+    is longer than r, so every link then has a positive gain; a faded link
+    whose rate rounds to 0 is pruned.
     """
-    if not d > 0.0:
-        raise ValueError(f"distance must be strictly positive, got {d!r}")
-    snr0 = (
-        p.tx_power * p.tx_gain * p.rx_gain * p.wavelength**2
-        / (_SIXTEEN_PI_SQ * (p.noise_density + p.interference_density) * p.bandwidth)
-    )
-    if d <= p.ref_distance:
-        return snr0
-    return snr0 * (d / p.ref_distance) ** (-p.path_loss_exp)
-
-
-def cell_radius(p: ChannelParams, target_snr: float) -> float:
-    """Unique radius r > d0 where the SNR operating point equals target_snr.
-
-    target_snr is linear (not dB) and must be below the plateau value
-    snr_at_distance(d0), otherwise no such radius exists.
-    """
-    snr0 = snr_at_distance(p, p.ref_distance)
-    if not 0.0 < target_snr < snr0:
-        raise InfeasibleRadiusError(
-            f"target SNR {target_snr!r} not in (0, {snr0!r}); no radius beyond "
-            f"the reference distance attains it"
+    db, radius, gain = target_snr_db, math.inf, 0.0
+    try:
+        target = 10.0 ** (db / 10.0)
+        snr0 = (  # the SINR at d0
+            p.tx_power * p.tx_gain * p.rx_gain * p.wavelength**2
+            / (_SIXTEEN_PI_SQ * (p.noise_density + p.interference_density) * p.bandwidth)
         )
-    return p.ref_distance * (snr0 / target_snr) ** (1.0 / p.path_loss_exp)
+        if not 0.0 < target < snr0:
+            raise InfeasibleRadiusError(
+                f"target_snr_db={db!r} is out of reach: target SNR {target!r} not in "
+                f"(0, {snr0!r}); no radius beyond the reference distance attains it"
+            )
+        radius = p.ref_distance * (snr0 / target) ** (1.0 / p.path_loss_exp)
+        gain = compute_gain(p, radius, 1.0)
+    except OverflowError:  # the linear target, wavelength^2 or (r/d0)^eta
+        pass
+    if radius == math.inf:
+        raise InfeasibleRadiusError(
+            f"the cell at target_snr_db={db!r} overflows: its radius is not a finite float"
+        )
+    if not (gain > 0.0 and compute_rate(p, gain) > 0.0):
+        raise InfeasibleRadiusError(
+            f"a link at the cell radius {radius!r} m and target_snr_db={db!r} has a rate of 0"
+        )
+    return radius

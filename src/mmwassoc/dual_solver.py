@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Assignment, Instance, checked, chosen_assignment, chosen_loads, is_int
+from .instance import Assignment, Instance, checked, chosen_assignment, chosen_loads
+from .instance import is_int, is_real
 
 __all__ = [
     "SolveReport",
@@ -116,18 +117,18 @@ def run_daa(
     checked(is_int(max_iters), max_iters, "max_iters", "an integer")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    checked(is_real(step_scale), step_scale, "step_scale", "a real number")
     if not 0.0 < step_scale < math.inf:
         raise ValueError("step_scale must be positive and finite")
     if inst.n_aps < 1:
         raise ValueError("instance has no APs")
     # (M, D) client x candidate tables, D the largest candidate-set size: row
-    # j holds client j's candidates AP-ascending, so the first minimum of a
-    # row is the smallest-index tie-break (the padding never wins it)
-    table = inst.pairs.table
+    # j holds client j's candidates AP-ascending, so its first minimum is the
+    # smallest-index tie-break, and never the padding: column c is pair start[j] + c
+    start, table = inst.pairs.start, inst.pairs.table
     ap, beta = inst.pairs.ap.take(table), inst.beta.take(table)
     n_aps = inst.n_aps
     n_clients, width = table.shape
-    row = np.arange(0, table.size, width)  # flat index of row starts
     block = min(max_iters, max(1, _BLOCK_CELLS // max(1, table.size)))
     tables = np.empty((block, n_clients, width))
     cols = np.empty((block, n_clients), dtype=np.intp)
@@ -158,7 +159,7 @@ def run_daa(
             key = w.argmin(axis=1, out=c).tobytes()
             entry = memo.get(key)
             if entry is None:
-                loads = chosen_loads(inst, table.take(row + c)).tolist()
+                loads = chosen_loads(inst, start + c).tolist()
                 entry = (loads, float(max(loads)))  # float even with no clients
                 if len(memo) * n_clients < _MEMO_CELLS:
                     memo[key] = entry
@@ -178,7 +179,7 @@ def run_daa(
             break
         first, size = last, min(2 * size, block)
 
-    assignment = chosen_assignment(inst, table.take(row + np.frombuffer(best_key, dtype=np.intp)))
+    assignment = chosen_assignment(inst, start + np.frombuffer(best_key, dtype=np.intp))
     # weak duality puts every g_k at or below every t_k up to the prices'
     # excess over a unit sum: max(duals) may pass best_primal by an ulp or so
     return SolveReport(duals, primals, assignment, best_dual)

@@ -138,11 +138,9 @@ def _client_options(inst: Instance) -> tuple[list[float], list[list[tuple[float,
     AP-ascending."""
     pairs = inst.pairs
     cheapest = np.minimum.reduceat(inst.beta, pairs.start).tolist()
-    options = [
-        list(zip(betas, aps))
-        for betas, aps in zip(pairs.per_client(inst.beta), pairs.per_client(pairs.ap))
-    ]
-    return cheapest, options
+    options = list(zip(inst.beta.tolist(), pairs.ap.tolist()))
+    bounds = [*pairs.start.tolist(), len(options)]
+    return cheapest, [options[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _greedy_incumbent(inst: Instance, warm_start: Assignment | None = None) -> Assignment:

@@ -36,6 +36,7 @@ __all__ = [
     "check_ap_count",
     "checked",
     "is_int",
+    "is_real",
     "json_int",
     "json_number",
     "json_bool",
@@ -107,12 +108,6 @@ class Pairs:
     def first_argmin(self, values: np.ndarray) -> np.ndarray:
         """Per client, the index of the first pair minimizing `values`."""
         return self.start + np.asarray(values).take(self.table).argmin(axis=1)
-
-    def per_client(self, values: np.ndarray) -> list[list]:
-        """Split a per-pair array into one Python list per client."""
-        flat = values.tolist()
-        bounds = [*self.start.tolist(), len(flat)]
-        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,6 +399,10 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    return is_int(value) or isinstance(value, (float, np.floating))
+
+
 def checked(ok: bool, value, name: str, what: str):
     if not ok:
         raise ValueError(f"{name} must be {what}, got {value!r:.60}")
@@ -414,14 +413,13 @@ def json_int(value, name: str) -> int:
     """A JSON integer: an int or an integral float, never a bool."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    ok = isinstance(value, int) and not isinstance(value, bool)
-    return checked(ok, value, name, "an integer")
+    return checked(is_int(value), value, name, "an integer")
 
 
 def json_number(value, name: str) -> float:
     """A finite JSON number (int or float, never a bool), as a float."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return float(checked(ok and abs(value) <= sys.float_info.max, value, name, "a finite number"))
+    ok = is_real(value) and abs(value) <= sys.float_info.max
+    return float(checked(ok, value, name, "a finite number"))
 
 
 def json_bool(value, name: str) -> bool:

@@ -23,7 +23,7 @@ from .channel import default_params
 from .dual_solver import SolveReport, duality_gap_bound, run_daa
 from .exact import solve_lp_relaxation, solve_milp_exact
 from .instance import InfeasibleClientError, Instance, Topology, build_instance, check_ap_count
-from .instance import checked, is_int, topology_from_positions
+from .instance import checked, is_int, is_real, topology_from_positions
 from .policies import jain_index, random_policy, rssi_policy
 
 if TYPE_CHECKING:  # imported at run time by the first Pipe(), never on the jobs=1 path
@@ -87,8 +87,12 @@ class ExperimentConfig:
     force_exact: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("n_aps", "n_clients", "slots", "daa_iters", "seed"):
+        for name in (f.name for f in fields(self) if f.type == "int"):
             checked(is_int(getattr(self, name)), getattr(self, name), name, "an integer")
+        for name in (f.name for f in fields(self) if f.type == "float"):
+            checked(is_real(getattr(self, name)), getattr(self, name), name, "a real number")
+        for name in (f.name for f in fields(self) if f.type == "bool"):
+            checked(isinstance(getattr(self, name), bool), getattr(self, name), name, "a bool")
         if self.n_aps < 1 or self.n_clients < 1 or self.slots < 1:
             raise ValueError("n_aps, n_clients and slots must be positive")
         check_ap_count(self.n_aps)  # generate_topology allocates per AP
@@ -103,34 +107,18 @@ class ExperimentConfig:
         if not self.ap_spacing_factor > 0.0:
             raise ValueError("ap_spacing_factor must be strictly positive")
         checked(self.seed >= 0, self.seed, "seed", "non-negative")
-        db = self.target_snr_db
-        try:
-            radius = self.radius
-        except InfeasibleRadiusError as exc:
-            raise InfeasibleRadiusError(f"target_snr_db={db!r} is out of reach: {exc}") from exc
-        except OverflowError:  # the linear target or the plateau SNR
-            radius = math.inf
+        radius = self.radius
         # the width of the box generate_topology draws clients from
         if not (self.n_aps - 1) * (self.ap_spacing_factor * radius) + radius + radius < math.inf:
             raise InfeasibleRadiusError(
-                f"the deployment of {self.n_aps} cells of radius {radius!r} m at "
-                f"target_snr_db={db!r} and ap_spacing_factor={self.ap_spacing_factor!r} overflows"
-            )
-        # no link is longer than the radius, so a finite path loss there keeps
-        # every gain positive; a faded link whose rate rounds to 0 is pruned
-        try:
-            gain = compute_gain(self.channel, radius, 1.0)
-        except OverflowError:  # (r/d0)^eta
-            gain = 0.0
-        if not (gain > 0.0 and compute_rate(self.channel, gain) > 0.0):
-            raise InfeasibleRadiusError(
-                f"a link at the cell radius {radius!r} m and target_snr_db={db!r} has a rate of 0"
+                f"the deployment of {self.n_aps} cells of radius {radius!r} m at target_snr_db="
+                f"{self.target_snr_db!r} and ap_spacing_factor={self.ap_spacing_factor!r} overflows"
             )
 
     @property
     def radius(self) -> float:
-        """Cell radius in meters: where the SNR falls to the cell-edge target."""
-        return cell_radius(self.channel, 10.0 ** (self.target_snr_db / 10.0))
+        """Cell radius in meters: where the SINR falls to the cell-edge target."""
+        return cell_radius(self.channel, self.target_snr_db)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ per-client, per-AP and dict forms the tests state their expectations in.
 `recording` captures the price vectors a dual loop projects, which its
 report does not keep, `subproblems` gives every client's choice and the
 dual value at any prices, and `trace_rows` reads a report's trace CSV back
-as numbers.
+as numbers.  `ref_cell_radius` is the cell radius in the arithmetic the
+config used when the channel took a linear target, kept as the bitwise
+reference for `channel.cell_radius`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from unittest import mock
 
 import numpy as np
 
+from mmwassoc.channel import ChannelParams
 from mmwassoc.dual_solver import SolveReport, trace_csv_lines
 from mmwassoc.exact import _lp_matrix, _two_phase_simplex
 from mmwassoc.instance import Assignment, InfeasibleClientError, Instance, Topology
@@ -123,6 +126,39 @@ def lens_over_union(radius: float, spacing: float) -> float:
     )
     union = 2 * math.pi * radius**2 - lens
     return lens / union
+
+
+def ref_cell_radius(p: ChannelParams, target_snr_db: float) -> float | None:
+    """The radius where a unit-fading link's SINR falls to the dB target, or
+    None where no cell exists: the target or the SINR at d0 overflows, the
+    target is not in (0, SINR at d0), the radius is infinite, or a
+    unit-fading link at the radius has a gain or a rate of 0.  Written out
+    as the SINR-at-distance, radius and config checks once computed it,
+    with compute_gain and compute_rate inlined at unit fading."""
+    try:
+        target = 10.0 ** (target_snr_db / 10.0)
+        snr0 = (
+            p.tx_power * p.tx_gain * p.rx_gain * p.wavelength**2
+            / (16.0 * math.pi**2 * (p.noise_density + p.interference_density) * p.bandwidth)
+        )
+    except OverflowError:
+        return None
+    if not 0.0 < target < snr0:
+        return None
+    radius = p.ref_distance * (snr0 / target) ** (1.0 / p.path_loss_exp)
+    if radius == math.inf:
+        return None
+    try:
+        path_loss = 16.0 * math.pi**2 * (radius / p.ref_distance) ** p.path_loss_exp
+    except OverflowError:
+        return None
+    gain = p.tx_gain * p.rx_gain * p.wavelength**2 * 1.0 / path_loss
+    if not gain > 0.0:
+        return None
+    snr = p.tx_power * gain / ((p.noise_density + p.interference_density) * p.bandwidth)
+    if not p.bandwidth * math.log2(1.0 + snr) > 0.0:
+        return None
+    return radius
 
 
 def projection_kkt_violation(

@@ -235,3 +235,36 @@ def test_python_config_refuses_an_infinite_demand_or_a_nan_exact_limit(field, va
 def test_python_config_takes_an_unlimited_exact_search():
     cfg = ExperimentConfig(n_aps=2, n_clients=6, slots=1, with_exact=True, exact_limit=math.inf)
     assert run_experiment(cfg).aggregates["slots_with_exact"] == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("with_exact", "no", "a bool"),
+        ("with_exact", 1, "a bool"),
+        ("force_exact", None, "a bool"),
+        ("force_exact", np.bool_(True), "a bool"),
+        ("target_snr_db", "10", "a real number"),
+        ("target_snr_db", True, "a real number"),
+        ("ap_spacing_factor", True, "a real number"),
+        ("demand_max", "4e8", "a real number"),
+        ("step_scale", True, "a real number"),
+        ("exact_limit", True, "a real number"),
+        ("exact_limit", "1e6", "a real number"),
+    ],
+)
+def test_python_config_refuses_mistyped_flags_and_numbers(field, value, rule):
+    # the CLI's readers refuse these before a config exists; a Python caller
+    # meets the same rule, not a truthy "no", a limit of True = 1 or a TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be {rule}, got "):
+        ExperimentConfig(n_aps=2, n_clients=6, slots=1, **{field: value})
+
+
+def test_python_config_takes_numpy_and_integer_numbers():
+    base = dict(n_aps=2, n_clients=6, slots=2, daa_iters=20, with_exact=True, exact_limit=1e3)
+    values = dict(target_snr_db=8, ap_spacing_factor=1.2, demand_max=3e8, step_scale=0.5)
+    expected = run_experiment(ExperimentConfig(**base, **values)).aggregates
+    numpy_values = {key: np.float64(value) for key, value in values.items()}
+    assert run_experiment(ExperimentConfig(**base, **numpy_values)).aggregates == expected
+    integers = ExperimentConfig(**{**base, "exact_limit": 1000}, demand_max=np.int64(10**8))
+    assert (integers.exact_limit, integers.demand_max) == (1000, 10**8)

@@ -79,7 +79,9 @@ def test_run_daa_matches_reference_bitwise(inst, iters, step, data):
     price = st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0.0, 1.0)
     prices = np.array(data.draw(st.lists(price, min_size=inst.n_aps, max_size=inst.n_aps)))
     # per client, its candidates' beta*price values, AP-ascending
-    weighted = inst.pairs.per_client(inst.beta * prices[inst.pairs.ap])
+    flat = (inst.beta * prices[inst.pairs.ap]).tolist()
+    bounds = [*inst.pairs.start.tolist(), len(flat)]
+    weighted = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     choices, dual = subproblems(inst, prices)
     assert repr(dual) == repr(float(np.sum([min(w) for w in weighted])))
     for choice, cands, values in zip(choices, candidates_of_client(inst), weighted, strict=True):

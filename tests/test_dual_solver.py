@@ -161,6 +161,9 @@ def test_run_daa_validates_arguments():
     for max_iters in (2.5, 10.0, True):
         with pytest.raises(ValueError, match="^max_iters must be an integer, got "):
             run_daa(inst, max_iters)
+    for step_scale in (True, "1.0"):
+        with pytest.raises(ValueError, match="^step_scale must be a real number, got "):
+            run_daa(inst, 10, step_scale=step_scale)
 
 
 def test_run_daa_takes_a_numpy_iteration_count():

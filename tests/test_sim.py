@@ -46,7 +46,7 @@ def small_cfg(**overrides):
 def test_single_ap_topology_covers_everyone():
     cfg = small_cfg(n_aps=1, n_clients=200)
     topo = generate_topology(cfg)
-    radius = cell_radius(cfg.channel, 10.0 ** (cfg.target_snr_db / 10.0))
+    radius = cell_radius(cfg.channel, cfg.target_snr_db)
     assert cfg.radius == pytest.approx(radius, rel=1e-12)
     dists = np.hypot(*(topo.client_positions - topo.ap_positions[0]).T)
     assert dists.max() <= radius
