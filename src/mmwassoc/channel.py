@@ -9,7 +9,9 @@ conversion, shared by the default link budget and config parsing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .instance import checked, is_real
 
 __all__ = [
     "ChannelParams",
@@ -64,19 +66,11 @@ class ChannelParams:
     interference_density: float = 0.0
 
     def __post_init__(self) -> None:
-        positive = {
-            "wavelength": self.wavelength,
-            "noise_density": self.noise_density,
-            "bandwidth": self.bandwidth,
-            "ref_distance": self.ref_distance,
-            "tx_power": self.tx_power,
-            "tx_gain": self.tx_gain,
-            "rx_gain": self.rx_gain,
-        }
-        for name, value in positive.items():
-            if not value > 0.0:
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
+            checked(is_real(value), value, name, "a real number")
+            if name not in ("path_loss_exp", "interference_density") and not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.interference_density < 0.0:
+        if not self.interference_density >= 0.0:  # NaN too
             raise ValueError("interference_density must be >= 0")
         if not 2.0 <= self.path_loss_exp <= 6.0:
             raise ValueError(

@@ -192,8 +192,10 @@ def convergence_bound(inst: Instance, step_scale: float, k: int) -> float:
     diameter and G the subgradient norm bound sqrt(sum_i (sum_j beta_ij)^2).
     The pi^2/12 factor is a^2/2 times the Basel sum of the squared steps.
     """
+    checked(is_int(k), k, "k", "an integer")
     if k < 1:
         raise ValueError("k must be >= 1")
+    checked(is_real(step_scale), step_scale, "step_scale", "a real number")
     if not 0.0 < step_scale < math.inf:
         raise ValueError("step_scale must be positive and finite")
     per_ap = np.bincount(inst.pairs.ap, weights=inst.beta, minlength=inst.n_aps)

@@ -133,12 +133,12 @@ def enumerate_assignments(inst: Instance, warm_start: Assignment | None = None) 
     )
 
 
-def _client_options(inst: Instance) -> tuple[list[float], list[list[tuple[float, int]]]]:
-    """Per client, its cheapest utilization and its (beta, ap) candidates,
-    AP-ascending."""
+def _client_options(inst: Instance) -> tuple[list[float], list[list[tuple[float, int, int]]]]:
+    """Per client, its cheapest utilization and its (beta, ap, pair index)
+    candidates, AP-ascending."""
     pairs = inst.pairs
     cheapest = np.minimum.reduceat(inst.beta, pairs.start).tolist()
-    options = list(zip(inst.beta.tolist(), pairs.ap.tolist()))
+    options = list(zip(inst.beta.tolist(), pairs.ap.tolist(), range(inst.beta.size)))
     bounds = [*pairs.start.tolist(), len(options)]
     return cheapest, [options[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -147,19 +147,18 @@ def _greedy_incumbent(inst: Instance, warm_start: Assignment | None = None) -> A
     """Longest-processing-time style incumbent: hardest clients (largest
     cheapest utilization) first, each to its least-loaded candidate AP.
     Returns that assignment, or `warm_start` repriced when its objective is
-    smaller."""
+    smaller; only `warm_start` is validated."""
     cheapest, options = _client_options(inst)
     loads = [0.0] * inst.n_aps
-    ap_of_client = [-1] * inst.n_clients
+    chosen = [-1] * inst.n_clients  # pair index per client
     for j in sorted(range(inst.n_clients), key=lambda j: -cheapest[j]):
         best_i, best_load = -1, math.inf
-        for b, i in options[j]:
+        for b, i, p in options[j]:
             new = loads[i] + b
             if new < best_load:
-                best_i, best_load = i, new
-        ap_of_client[j] = best_i
+                best_i, best_load, chosen[j] = i, new, p
         loads[best_i] = best_load
-    greedy = make_assignment(inst, ap_of_client)
+    greedy = chosen_assignment(inst, chosen)
     warm = greedy if warm_start is None else make_assignment(inst, warm_start.ap_of_client)
     return warm if warm.objective < greedy.objective else greedy
 
@@ -184,12 +183,11 @@ def branch_and_bound(
     n = inst.n_aps
     cheapest, client_options = _client_options(inst)
     loads = [0.0] * n
-    partial_map = [-1] * inst.n_clients
+    chosen = [-1] * inst.n_clients  # pair index per client; a leaf has set every one
     branchable = []
     for j, opts in enumerate(client_options):
         if len(opts) == 1:
-            b, i = opts[0]
-            partial_map[j] = i
+            b, i, chosen[j] = opts[0]
             loads[i] += b
         else:
             branchable.append(j)
@@ -222,10 +220,10 @@ def branch_and_bound(
     # with its remaining children and the load its open child restores
     stack = []
     depth, partial_max, partial_total = 0, max(loads, default=0.0), float(sum(loads))
-    children = iter(sorted([(loads[i] + b, b, i) for b, i in options[0]]))
+    children = iter(sorted([(loads[i] + b, b, i, p) for b, i, p in options[0]]))
     while True:
         j, rest_sum, rest_max = order[depth], suffix_sum[depth + 1], suffix_max[depth + 1]
-        for new_load, b, i in children:
+        for new_load, b, i, p in children:
             if nodes == node_budget:  # this node would break the budget: not evaluated
                 raise NodeBudgetExceeded(result())
             nodes += 1
@@ -239,25 +237,23 @@ def branch_and_bound(
             if bound >= incumbent_val:
                 continue
             loads[i] = new_load
-            partial_map[j] = i
+            chosen[j] = p
             if depth + 1 < depth_count:
                 stack.append((depth, partial_max, partial_total, children, i, new_load - b))
                 depth, partial_max, partial_total = depth + 1, child_max, child_total
-                children = iter(sorted([(loads[i] + b, b, i) for b, i in options[depth]]))
+                children = iter(sorted([(loads[i] + b, b, i, p) for b, i, p in options[depth]]))
                 break
             # every client placed, below the incumbent (bound >= child_max)
-            incumbent = make_assignment(inst, partial_map)
+            incumbent = chosen_assignment(inst, chosen)
             incumbent_val = incumbent.objective
             if incumbent_val <= done_at:
                 return result()
             loads[i] = new_load - b
-            partial_map[j] = -1
         else:
             if not stack:
                 return result()
             depth, partial_max, partial_total, children, i, restored = stack.pop()
             loads[i] = restored
-            partial_map[order[depth]] = -1
 
 
 def solve_milp_exact(

@@ -287,6 +287,8 @@ def instance_from_beta(
     """
     if demands is None:
         demands = [1.0] * n_clients
+    if len(demands) != n_clients:
+        raise ValueError("one demand per client required")
     ap = np.array([i for i, _ in beta], dtype=np.int64)
     client = np.array([j for _, j in beta], dtype=np.int64)
     return _assemble(n_aps, demands, ap, client, beta=np.array(list(beta.values()), dtype=float))

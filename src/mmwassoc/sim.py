@@ -93,6 +93,7 @@ class ExperimentConfig:
             checked(is_real(getattr(self, name)), getattr(self, name), name, "a real number")
         for name in (f.name for f in fields(self) if f.type == "bool"):
             checked(isinstance(getattr(self, name), bool), getattr(self, name), name, "a bool")
+        checked(isinstance(self.channel, ChannelParams), self.channel, "channel", "a ChannelParams")
         if self.n_aps < 1 or self.n_clients < 1 or self.slots < 1:
             raise ValueError("n_aps, n_clients and slots must be positive")
         check_ap_count(self.n_aps)  # generate_topology allocates per AP
@@ -350,6 +351,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     others; workers start on first need and serve later calls.  A share's
     exception is re-raised here as with jobs=1; a worker that dies without
     reporting raises WorkerError."""
+    checked(is_int(jobs), jobs, "jobs", "an integer")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     topo = generate_topology(cfg)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -240,6 +240,37 @@ def test_params_validation():
         ChannelParams(
             wavelength=5e-3, noise_density=1e-19, bandwidth=1e9, interference_density=-1e-22
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("wavelength", "x"),
+        ("wavelength", True),
+        ("path_loss_exp", "2"),
+        ("noise_density", None),
+        ("tx_gain", np.bool_(True)),
+        ("interference_density", "0"),
+    ],
+)
+def test_params_refuse_a_field_that_is_not_a_real_number(field, value):
+    # a Python caller meets the rule ExperimentConfig applies to its floats,
+    # not a TypeError from a comparison or a bool taken as 1
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        replace(default_params(), **{field: value})
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(ChannelParams)])
+def test_params_refuse_nan_in_every_field(field):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        replace(default_params(), **{field: math.nan})
+
+
+def test_params_take_integers_and_numpy_numbers():
+    p = default_params()
+    same = replace(p, bandwidth=np.float64(p.bandwidth), path_loss_exp=2, tx_gain=np.int64(1))
+    assert same == p
+    assert cell_radius(same, 10.0) == cell_radius(p, 10.0)
 
 
 def test_link_gain_and_rate_consistency():

@@ -260,6 +260,13 @@ def test_python_config_refuses_mistyped_flags_and_numbers(field, value, rule):
         ExperimentConfig(n_aps=2, n_clients=6, slots=1, **{field: value})
 
 
+@pytest.mark.parametrize("channel", [None, {"wavelength": 5e-3}, "default"])
+def test_python_config_refuses_a_channel_that_is_not_channel_params(channel):
+    # not an AttributeError from the cell radius
+    with pytest.raises(ValueError, match="^channel must be a ChannelParams, got "):
+        ExperimentConfig(n_aps=2, n_clients=6, slots=1, channel=channel)
+
+
 def test_python_config_takes_numpy_and_integer_numbers():
     base = dict(n_aps=2, n_clients=6, slots=2, daa_iters=20, with_exact=True, exact_limit=1e3)
     values = dict(target_snr_db=8, ap_spacing_factor=1.2, demand_max=3e8, step_scale=0.5)

@@ -234,6 +234,26 @@ def test_convergence_bound_rejects_step_outside_positive_finite(step):
         convergence_bound(example1_instance(2, 0.5), step, 10)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+def test_convergence_bound_refuses_a_k_that_is_not_an_integer(k):
+    # 2.5 gave the k=3 bound and True the k=1 bound
+    with pytest.raises(ValueError, match="^k must be an integer, got "):
+        convergence_bound(example1_instance(3, 0.5), 1.0, k)
+
+
+@pytest.mark.parametrize("step", [True, "1.0", None])
+def test_convergence_bound_refuses_a_step_scale_that_is_not_a_real_number(step):
+    with pytest.raises(ValueError, match="^step_scale must be a real number, got "):
+        convergence_bound(example1_instance(3, 0.5), step, 10)
+
+
+def test_convergence_bound_takes_numpy_numbers():
+    inst = example1_instance(3, 0.5)
+    expected = convergence_bound(inst, 1.0, 3)
+    assert convergence_bound(inst, np.float64(1.0), np.int64(3)) == expected
+    assert convergence_bound(inst, 1, 3) == expected
+
+
 def test_convergence_bound_quadratic_in_utilizations():
     inst = instance_from_beta(2, 2, {(0, 0): 0.2, (1, 1): 0.3})
     doubled = instance_from_beta(2, 2, {(0, 0): 0.4, (1, 1): 0.6})

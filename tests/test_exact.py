@@ -215,6 +215,25 @@ def test_branch_and_bound_accepts_warm_start():
     assert bnb.optimal_value == pytest.approx(enum.optimal_value, abs=1e-12)
 
 
+@pytest.mark.parametrize("oracle", [enumerate_assignments, branch_and_bound])
+def test_searches_validate_only_the_warm_start(oracle):
+    # the greedy map and every leaf are built from pair indices the search
+    # chose itself; only the caller's warm start goes through make_assignment
+    rng = np.random.default_rng(13)
+    inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=10, m_hi=10)
+    warm = run_daa(inst, 50).assignment
+    with mock.patch.object(exact, "make_assignment", wraps=exact.make_assignment) as validate:
+        greedy = _greedy_incumbent(inst)
+        cold = oracle(inst)
+        assert validate.call_count == 0
+        warmed = oracle(inst, warm_start=warm)
+    assert validate.call_args_list == [mock.call(inst, warm.ap_of_client)]
+    assert cold.optimal_value == warmed.optimal_value == brute_force(inst)[0]
+    # each is priced as its map would be, bit for bit
+    for assignment in (greedy, cold.assignment, warmed.assignment):
+        assert assignment == make_assignment(inst, assignment.ap_of_client)
+
+
 def test_budget_exhaustion_carries_incumbent():
     rng = np.random.default_rng(17)
     inst = random_full_instance(rng, n_lo=4, n_hi=4, m_lo=12, m_hi=12)

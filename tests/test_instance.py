@@ -89,6 +89,15 @@ def test_build_raises_when_client_loses_every_candidate():
     assert "client 0" in str(err.value)
 
 
+def test_instance_from_beta_refuses_demands_of_another_length():
+    # clients 3 and 4 have no pair: the instance must not shrink to 3 clients
+    beta = {(0, 0): 0.5, (1, 1): 0.5, (0, 2): 0.3}
+    with pytest.raises(ValueError, match="^one demand per client required$"):
+        instance_from_beta(2, 5, beta, demands=[1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^one demand per client required$"):
+        instance_from_beta(2, 2, {(0, 0): 0.5, (1, 1): 0.5}, demands=[1.0, 1.0, 1.0])
+
+
 def test_infeasible_client_reason_tells_missing_from_pruned():
     with pytest.raises(InfeasibleClientError, match="no candidate links") as err:
         instance_from_beta(2, 2, {(0, 0): 0.5})

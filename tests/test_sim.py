@@ -276,6 +276,19 @@ def test_run_experiment_rejects_nonpositive_jobs(jobs):
         run_experiment(small_cfg(slots=1), jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [2.5, True, "2", None])
+def test_run_experiment_refuses_jobs_that_are_not_an_integer(jobs, share_counts):
+    # 2.5 and True ran, "2" raised a TypeError
+    with pytest.raises(ValueError, match="^jobs must be an integer, got "):
+        run_experiment(small_cfg(slots=2), jobs=jobs)
+    assert share_counts == []
+
+
+def test_run_experiment_takes_a_numpy_integer_jobs(share_counts):
+    cfg = small_cfg(slots=2, daa_iters=20)
+    assert run_experiment(cfg, jobs=np.int64(2)) == run_experiment(cfg, jobs=2)
+
+
 def test_slots_that_stop_at_a_zero_gap_equal_full_runs(monkeypatch):
     # the README operating point at seed 0: a slot whose certified gap
     # closes stops early, and its results are those of all K iterations
