@@ -194,13 +194,10 @@ def branch_and_bound(
     order = sorted(branchable, key=lambda j: -cheapest[j])
     options = [client_options[j] for j in order]
     depth_count = len(order)
-    # forced utilization of the not-yet-branched suffix, and its largest term
+    # forced utilization of the not-yet-branched suffix
     suffix_sum = [0.0] * (depth_count + 1)
-    suffix_max = [0.0] * (depth_count + 1)
     for d in range(depth_count - 1, -1, -1):
-        rho = cheapest[order[d]]
-        suffix_sum[d] = suffix_sum[d + 1] + rho
-        suffix_max[d] = max(suffix_max[d + 1], rho)
+        suffix_sum[d] = suffix_sum[d + 1] + cheapest[order[d]]
 
     incumbent = _greedy_incumbent(inst, warm_start)
     incumbent_val = incumbent.objective
@@ -222,7 +219,7 @@ def branch_and_bound(
     depth, partial_max, partial_total = 0, max(loads, default=0.0), float(sum(loads))
     children = iter(sorted([(loads[i] + b, b, i, p) for b, i, p in options[0]]))
     while True:
-        j, rest_sum, rest_max = order[depth], suffix_sum[depth + 1], suffix_max[depth + 1]
+        j, rest_sum = order[depth], suffix_sum[depth + 1]
         for new_load, b, i, p in children:
             if nodes == node_budget:  # this node would break the budget: not evaluated
                 raise NodeBudgetExceeded(result())
@@ -232,14 +229,12 @@ def branch_and_bound(
             bound = (child_total + rest_sum) / n
             if child_max > bound:
                 bound = child_max
-            if rest_max > bound:
-                bound = rest_max
             if bound >= incumbent_val:
                 continue
-            loads[i] = new_load
+            before, loads[i] = loads[i], new_load
             chosen[j] = p
             if depth + 1 < depth_count:
-                stack.append((depth, partial_max, partial_total, children, i, new_load - b))
+                stack.append((depth, partial_max, partial_total, children, i, before))
                 depth, partial_max, partial_total = depth + 1, child_max, child_total
                 children = iter(sorted([(loads[i] + b, b, i, p) for b, i, p in options[depth]]))
                 break
@@ -248,7 +243,7 @@ def branch_and_bound(
             incumbent_val = incumbent.objective
             if incumbent_val <= done_at:
                 return result()
-            loads[i] = new_load - b
+            loads[i] = before
         else:
             if not stack:
                 return result()
@@ -261,11 +256,11 @@ def solve_milp_exact(
 ) -> ExactResult:
     """Exact minimum of the max AP utilization over integral assignments.
 
-    Enumerates when the assignment space fits min(ENUMERATION_LIMIT,
-    DEFAULT_NODE_BUDGET), otherwise branches and bounds (NodeBudgetExceeded
-    carries the incumbent when DEFAULT_NODE_BUDGET nodes run out).
+    Enumerates when the assignment space fits ENUMERATION_LIMIT, otherwise
+    branches and bounds (NodeBudgetExceeded carries the incumbent when
+    DEFAULT_NODE_BUDGET nodes run out).
     """
-    if inst.candidate_product() <= min(ENUMERATION_LIMIT, DEFAULT_NODE_BUDGET):
+    if inst.candidate_product() <= ENUMERATION_LIMIT:
         return enumerate_assignments(inst, warm_start=warm_start)
     return branch_and_bound(inst, warm_start=warm_start, lower_bound=lower_bound)
 

@@ -105,6 +105,7 @@ class ExperimentConfig:
             raise ValueError("demand_max must be strictly positive")
         checked(self.demand_max < math.inf, self.demand_max, "demand_max", "finite")
         checked(not math.isnan(self.exact_limit), self.exact_limit, "exact_limit", "a number")
+        checked(self.exact_limit >= 0, self.exact_limit, "exact_limit", "non-negative")
         if not self.ap_spacing_factor > 0.0:
             raise ValueError("ap_spacing_factor must be strictly positive")
         checked(self.seed >= 0, self.seed, "seed", "non-negative")

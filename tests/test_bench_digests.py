@@ -2,8 +2,8 @@
 `bench/digests.json` records, at one and at two worker processes.  The
 benchmark checks the same digests on every run; this runs them in the
 suite.  The seed-0 aggregate JSONs keep the digests recorded below, so the
-averages stay byte-identical too.  Reads `bench/`, writes only under the
-test's temporary directory."""
+averages stay byte-identical too; both digests are read from the same run.
+Reads `bench/`, writes only under the test's temporary directory."""
 
 import hashlib
 import json
@@ -23,28 +23,32 @@ JSON_DIGESTS = {
 }
 
 
-def run_seed_0(workload: str, jobs: str, out: Path, capsys) -> Path:
-    """Run the workload's experiment at seed 0 into `out` and return `out`."""
+RUNS = [(workload, jobs) for workload in sorted(DIGESTS) for jobs in ("1", "2")]
+
+
+@pytest.fixture(scope="module", params=RUNS, ids=[f"{w}-{j}" for w, j in RUNS])
+def seed_0_run(request, tmp_path_factory) -> tuple[str, Path]:
+    """One seed-0 experiment per workload and job count, whose CSV and JSON
+    both tests check: (workload, output directory)."""
+    workload, jobs = request.param
     config = BENCH / "workloads" / f"{workload}.json"
+    out = tmp_path_factory.mktemp(f"{workload}-{jobs}")
     args = ["experiment", "--config", str(config), "--seed", "0", "--jobs", jobs]
     assert main([*args, "--out", str(out)]) == 0
-    capsys.readouterr()
-    return out
+    return workload, out
 
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_workload_csv_matches_its_recorded_digest(workload, jobs, tmp_path, capsys):
-    (csv,) = run_seed_0(workload, jobs, tmp_path, capsys).glob("experiment_*.csv")
+def test_workload_csv_matches_its_recorded_digest(seed_0_run):
+    workload, out = seed_0_run
+    (csv,) = out.glob("experiment_*.csv")
     assert sha256(csv) == DIGESTS[workload]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("workload", sorted(JSON_DIGESTS))
-def test_workload_json_matches_its_recorded_digest(workload, jobs, tmp_path, capsys):
-    (doc,) = run_seed_0(workload, jobs, tmp_path, capsys).glob("experiment_*.json")
+def test_workload_json_matches_its_recorded_digest(seed_0_run):
+    workload, out = seed_0_run
+    (doc,) = out.glob("experiment_*.json")
     assert sha256(doc) == JSON_DIGESTS[workload]

@@ -706,6 +706,7 @@ def test_renamed_config_key_is_named_in_its_error(tmp_path, capsys, value):
         ("target_snr_db", -1e300),
         ("target_snr_db", 200),
         ("wavelength_m", 1e150),
+        ("exact_limit", -1),
     ],
 )
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
@@ -713,7 +714,7 @@ def test_config_values_out_of_physical_range_exit_2(tmp_path, capsys, command, k
     # a finite value whose derived density, SNR, cell radius or edge rate is
     # not a positive finite number is a config error naming the key; so is a
     # target above the default link budget's plateau (about 25.2 dB), which
-    # no radius attains
+    # no radius attains, and a negative search-space limit
     doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -808,9 +809,10 @@ def test_verify_negative_seed_names_the_flag(tmp_path, capsys):
         ({}, 0, 0),
         ({"demand_max_bps": 1e16}, 3, 0),  # no link carries the demand
         ({"with_exact": True, "exact_limit": 0.5}, 0, 3),  # every slot above the limit
+        ({"with_exact": True, "exact_limit": 0}, 0, 3),  # the least valid limit
         ({"with_exact": True}, 0, 0),
     ],
-    ids=["default", "oversized-demands", "exact-skipped", "exact"],
+    ids=["default", "oversized-demands", "exact-skipped", "exact-limit-0", "exact"],
 )
 def test_experiment_summary_counts_infeasible_and_skipped_slots(
     tmp_path, overrides, infeasible, skipped

@@ -232,6 +232,14 @@ def test_python_config_refuses_an_infinite_demand_or_a_nan_exact_limit(field, va
         ExperimentConfig(n_aps=2, n_clients=6, slots=1, with_exact=True, **{field: value})
 
 
+@pytest.mark.parametrize("limit", [-1.0, -1, -math.inf, -1e-300])
+def test_python_config_refuses_a_negative_exact_limit(limit):
+    # every search space holds at least one assignment, so a negative limit
+    # would keep the exact oracle from ever running, silently
+    with pytest.raises(ValueError, match="^exact_limit must be non-negative, got "):
+        ExperimentConfig(n_aps=2, n_clients=6, slots=1, with_exact=True, exact_limit=limit)
+
+
 def test_python_config_takes_an_unlimited_exact_search():
     cfg = ExperimentConfig(n_aps=2, n_clients=6, slots=1, with_exact=True, exact_limit=math.inf)
     assert run_experiment(cfg).aggregates["slots_with_exact"] == 1

@@ -206,6 +206,23 @@ def test_branch_and_bound_equals_enumeration():
         assert bnb.assignment.objective == pytest.approx(enum.optimal_value, abs=1e-12)
 
 
+def test_branch_and_bound_loads_do_not_drift_when_it_backtracks():
+    # a load restored as (a + b) - b can miss a by an ulp: 0.1 + 0.7 - 0.7
+    # is 0.09999999999999987, which let this search price a leaf at
+    # 0.8500000000000001 that the enumeration sums to 0.85
+    beta = {
+        (0, 0): 0.2, (1, 0): 1 / 3, (2, 0): 0.2, (2, 1): 0.05, (0, 2): 0.1,
+        (1, 2): 0.2, (1, 3): 1 / 3, (0, 4): 0.6, (2, 5): 0.15, (1, 6): 0.3,
+        (2, 6): 0.3, (0, 7): 1 / 3, (1, 7): 0.6, (2, 7): 0.3, (0, 8): 0.2,
+        (2, 8): 0.15, (0, 9): 0.6, (1, 9): 0.15, (2, 9): 0.2,
+    }
+    inst = instance_from_beta(3, 10, beta)
+    enum = enumerate_assignments(inst)
+    bnb = branch_and_bound(inst)
+    assert bnb.optimal_value == enum.optimal_value == 0.85
+    assert bnb.assignment == enum.assignment
+
+
 def test_branch_and_bound_accepts_warm_start():
     rng = np.random.default_rng(13)
     inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=12, m_hi=12)
@@ -301,6 +318,8 @@ def test_solve_milp_routes_small_to_enumeration():
     assert result.optimal_value == pytest.approx(0.5, abs=1e-12)
     assert result.assignment.ap_of_client == (0, 1, 2)
     assert result.nodes_explored == 4  # 1*2*2 assignments enumerated
+    with mock.patch.object(exact, "DEFAULT_NODE_BUDGET", 1):  # it bounds B&B, not the route
+        assert repr(solve_milp_exact(inst)) == repr(result)
 
 
 def test_solve_milp_routes_large_to_branch_and_bound():
