@@ -240,8 +240,6 @@ def _load_experiment_config(args: argparse.Namespace) -> tuple[ExperimentConfig,
         cfg = parse_experiment_config(doc)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.exact:
-            cfg = replace(cfg, with_exact=True, force_exact=True)
     except ValueError as exc:
         raise ValueError(f"invalid config: {exc}") from exc
     return cfg, asdict(cfg)
@@ -407,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", default="out")
     p_exp.add_argument("--seed", type=int, default=None)
     p_exp.add_argument("--jobs", type=int, default=1)
-    p_exp.add_argument("--exact", action="store_true", help="force the exact oracle on")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per parameter value")
@@ -417,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="out")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--exact", action="store_true")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the built-in oracle/bound checks")

@@ -238,11 +238,13 @@ def branch_and_bound(
                 depth, partial_max, partial_total = depth + 1, child_max, child_total
                 children = iter(sorted([(loads[i] + b, b, i, p) for b, i, p in options[depth]]))
                 break
-            # every client placed, below the incumbent (bound >= child_max)
-            incumbent = chosen_assignment(inst, chosen)
-            incumbent_val = incumbent.objective
-            if incumbent_val <= done_at:
-                return result()
+            # every client placed; the cut summed loads in branching order,
+            # so the leaf priced in client order can tie or pass the incumbent
+            leaf = chosen_assignment(inst, chosen)
+            if leaf.objective < incumbent_val:
+                incumbent, incumbent_val = leaf, leaf.objective
+                if incumbent_val <= done_at:
+                    return result()
             loads[i] = before
         else:
             if not stack:

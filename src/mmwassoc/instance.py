@@ -51,13 +51,10 @@ MAX_APS = 1 << 16  # n_aps ceiling of a JSON document or an experiment config
 class InfeasibleClientError(ValueError):
     """A client ended up with an empty candidate set."""
 
-    def __init__(self, client: int, reason: str = "") -> None:
+    def __init__(self, client: int, reason: str) -> None:
         self.client = client
         self.reason = reason
-        msg = f"client {client} has no admissible AP"
-        if reason:
-            msg += f" ({reason})"
-        super().__init__(msg)
+        super().__init__(f"client {client} has no admissible AP ({reason})")
 
     def __reduce__(self):  # rebuild from the fields, not from the message
         return type(self), (self.client, self.reason)
@@ -275,43 +272,26 @@ def build_instance(
 
 
 def instance_from_beta(
-    n_aps: int,
-    n_clients: int,
-    beta: Mapping[tuple[int, int], float],
-    demands: Sequence[float] | None = None,
+    n_aps: int, n_clients: int, beta: Mapping[tuple[int, int], float]
 ) -> Instance:
-    """Build an instance directly from utilization values.
-
-    Demands default to 1 for every client; rates are synthesized as
-    demand/beta so the stored triple stays self-consistent.
-    """
-    if demands is None:
-        demands = [1.0] * n_clients
-    if len(demands) != n_clients:
-        raise ValueError("one demand per client required")
+    """An instance built from utilization values: every demand is 1, every rate 1/beta."""
     ap = np.array([i for i, _ in beta], dtype=np.int64)
     client = np.array([j for _, j in beta], dtype=np.int64)
-    return _assemble(n_aps, demands, ap, client, beta=np.array(list(beta.values()), dtype=float))
+    values = np.array(list(beta.values()), dtype=float)
+    return _assemble(n_aps, [1.0] * n_clients, ap, client, beta=values)
 
 
-def example1_instance(
-    m: int, beta_diag: float, off_diag: Sequence[float] | None = None
-) -> Instance:
+def example1_instance(m: int, beta_diag: float) -> Instance:
     """Chain network with m clients and m APs.
 
-    Client 0 reaches only AP 0; client j >= 1 reaches APs j-1 and j.  The
-    diagonal utilizations are all `beta_diag`; the m-1 off-diagonal values
-    (client j on AP j-1) default to `beta_diag` as well.
+    Client 0 reaches only AP 0; client j >= 1 reaches APs j-1 and j.  Every
+    link's utilization is `beta_diag`.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if off_diag is None:
-        off_diag = [beta_diag] * (m - 1)
-    if len(off_diag) != m - 1:
-        raise ValueError(f"need {m - 1} off-diagonal utilizations, got {len(off_diag)}")
     beta: dict[tuple[int, int], float] = {(0, 0): beta_diag}
     for j in range(1, m):
-        beta[(j - 1, j)] = off_diag[j - 1]
+        beta[(j - 1, j)] = beta_diag
         beta[(j, j)] = beta_diag
     return instance_from_beta(m, m, beta)
 

@@ -111,10 +111,20 @@ class ExperimentConfig:
         checked(self.seed >= 0, self.seed, "seed", "non-negative")
         radius = self.radius
         # the width of the box generate_topology draws clients from
-        if not (self.n_aps - 1) * (self.ap_spacing_factor * radius) + radius + radius < math.inf:
+        width = (self.n_aps - 1) * (self.ap_spacing_factor * radius) + radius + radius
+        if not width < math.inf:
             raise InfeasibleRadiusError(
                 f"the deployment of {self.n_aps} cells of radius {radius!r} m at target_snr_db="
                 f"{self.target_snr_db!r} and ap_spacing_factor={self.ap_spacing_factor!r} overflows"
+            )
+        # n_aps disk areas over the box area (width x 2 radius) bound the
+        # share of draws that land in a disk from above
+        placed = self.n_aps * math.pi / 2 * (radius / width) * _MAX_PLACEMENT_ATTEMPTS
+        if placed < self.n_clients:
+            raise ValueError(
+                f"ap_spacing_factor={self.ap_spacing_factor!r} spreads the {self.n_aps} disks so "
+                f"thin that {_MAX_PLACEMENT_ATTEMPTS} client draws expect at most {placed:.3g} "
+                f"inside them, fewer than n_clients={self.n_clients}"
             )
 
     @property

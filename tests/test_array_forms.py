@@ -41,7 +41,7 @@ utilizations = st.one_of(
 
 @st.composite
 def raw_instances(draw):
-    """(n_aps, n_clients, beta dict in shuffled insertion order, demands or None).
+    """(n_aps, n_clients, beta dict in shuffled insertion order).
 
     Clients may have no links, one link (pinned) or several; links with
     beta > 1 get pruned."""
@@ -54,24 +54,22 @@ def raw_instances(draw):
     ]
     pairs = draw(st.permutations(pairs))
     beta = {pair: draw(utilizations) for pair in pairs}
-    demands = draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
-    return n, m, beta, demands
+    return n, m, beta
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(raw_instances(), st.data())
 def test_array_forms_match_dict_references(raw, data):
-    n, m, beta, demands = raw
-    q = [1.0] * m if demands is None else demands
-    rates = {(i, j): q[j] / b for (i, j), b in beta.items()}
+    n, m, beta = raw
+    rates = {pair: 1.0 / b for pair, b in beta.items()}
     try:
-        ref = ref_assemble(n, q, rates, beta)
+        ref = ref_assemble(n, [1.0] * m, rates, beta)
     except InfeasibleClientError as expected:
         with pytest.raises(InfeasibleClientError) as err:
-            instance_from_beta(n, m, beta, demands)
+            instance_from_beta(n, m, beta)
         assert (err.value.client, str(err.value)) == (expected.client, str(expected))
         return
-    inst = instance_from_beta(n, m, beta, demands)
+    inst = instance_from_beta(n, m, beta)
 
     client_major = sorted(ref.beta, key=lambda pair: (pair[1], pair[0]))
     assert list(beta_dict(inst).items()) == [(pair, ref.beta[pair]) for pair in client_major]

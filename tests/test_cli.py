@@ -287,10 +287,27 @@ def test_config_rejects_non_finite_floats(tmp_path, capsys, key, value):
 def test_config_exact_limit_accepts_positive_infinity(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
-        '{"n_aps": 2, "n_clients": 4, "slots": 1, "daa_iters": 20, "exact_limit": Infinity}'
+        '{"n_aps": 2, "n_clients": 4, "slots": 1, "daa_iters": 20, "with_exact": true, '
+        '"exact_limit": Infinity}'
     )
     out = tmp_path / "out"
-    assert main(["experiment", "--config", str(path), "--out", str(out), "--exact"]) == 0
+    assert main(["experiment", "--config", str(path), "--out", str(out)]) == 0
+    rows = next(out.glob("experiment_*.csv")).read_text().splitlines()
+    slot = dict(zip(rows[1].split(","), rows[2].split(",")))
+    assert float(slot["p_exact"]) > 0.0
+
+
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_only_solve_takes_an_exact_flag(config_file, tmp_path, capsys, command):
+    # the config's with_exact and force_exact keys are the one switch
+    argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out"), "--exact"]
+    if command == "sweep":
+        argv += ["--vary", "n_clients", "--values", "4"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --exact" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_exact_on_zero_clients(tmp_path):
@@ -707,6 +724,7 @@ def test_renamed_config_key_is_named_in_its_error(tmp_path, capsys, value):
         ("target_snr_db", 200),
         ("wavelength_m", 1e150),
         ("exact_limit", -1),
+        ("ap_spacing_factor", 1e306),
     ],
 )
 @pytest.mark.parametrize("command", ["experiment", "sweep"])
@@ -714,7 +732,8 @@ def test_config_values_out_of_physical_range_exit_2(tmp_path, capsys, command, k
     # a finite value whose derived density, SNR, cell radius or edge rate is
     # not a positive finite number is a config error naming the key; so is a
     # target above the default link budget's plateau (about 25.2 dB), which
-    # no radius attains, and a negative search-space limit
+    # no radius attains, a negative search-space limit, and a spacing whose
+    # disks cover too little of the client box to place the clients
     doc = {"n_aps": 2, "n_clients": 6, "slots": 1, "daa_iters": 20, key: value}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))

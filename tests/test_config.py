@@ -174,6 +174,18 @@ def test_python_config_applies_the_deployment_rules(field, value):
         ExperimentConfig(n_aps=2, n_clients=6, slots=1, daa_iters=20, **kwargs)
 
 
+def test_python_config_refuses_a_deployment_too_sparse_to_place_its_clients():
+    # the disks cover 3.1e-306 of the client box, so the placement loop
+    # would give up after about a million draws, slot after slot
+    with pytest.raises(ValueError, match=r"^ap_spacing_factor=1e\+306 "):
+        ExperimentConfig(n_aps=2, n_clients=6, slots=1, ap_spacing_factor=1e306)
+    # in a million draws two disks 5e5 radii apart expect 6.28 placements,
+    # 6e5 radii apart 5.24: enough for 6 clients, then too few
+    assert ExperimentConfig(n_aps=2, n_clients=6, slots=1, ap_spacing_factor=5e5)
+    with pytest.raises(ValueError, match=r"^ap_spacing_factor=600000\.0 "):
+        ExperimentConfig(n_aps=2, n_clients=6, slots=1, ap_spacing_factor=6e5)
+
+
 @pytest.mark.parametrize("n_aps", [2**40, 3_000_000, 65_537])
 def test_config_takes_the_instance_ap_ceiling(n_aps):
     # rejected before generate_topology allocates per AP (8 TiB at 2**40)

@@ -223,6 +223,36 @@ def test_branch_and_bound_loads_do_not_drift_when_it_backtracks():
     assert bnb.assignment == enum.assignment
 
 
+def test_branch_and_bound_keeps_a_leaf_only_if_it_is_lower():
+    # the cut sums loads in branching order, the leaf is priced in client
+    # order: a leaf that passes the cut can price 1 ulp above the incumbent,
+    # and taking it unconditionally returned 0.45000000000000007
+    beta = {
+        (0, 0): 0.1, (1, 0): 0.1, (3, 0): 0.2, (0, 1): 0.3, (3, 1): 0.7,
+        (0, 2): 0.05, (1, 2): 0.2, (3, 2): 0.05, (0, 3): 0.2, (1, 3): 0.2,
+        (0, 4): 0.15, (1, 4): 1 / 3, (2, 4): 0.3, (3, 4): 0.2, (2, 5): 1 / 3,
+        (1, 6): 0.15, (1, 7): 0.6, (2, 7): 0.6, (3, 7): 0.2,
+    }
+    inst = instance_from_beta(4, 8, beta)
+    enum = enumerate_assignments(inst)
+    bnb = branch_and_bound(inst)
+    assert bnb.optimal_value == enum.optimal_value == 0.45
+    assert bnb.assignment == enum.assignment
+    assert bnb.nodes_explored == 29
+
+
+def test_branch_and_bound_stops_at_a_leaf_that_meets_the_lower_bound():
+    # the greedy incumbent is 0.8; the first leaf reaches the optimum 0.5,
+    # which is the LP value, so a search given that bound stops there
+    beta = {(0, 0): 0.25, (0, 1): 0.25, (1, 2): 0.1, (0, 3): 0.3, (1, 3): 0.3}
+    inst = instance_from_beta(2, 4, beta)
+    assert solve_lp_relaxation(inst).optimal_value == 0.5
+    bounded = branch_and_bound(inst, lower_bound=0.5)
+    unbounded = branch_and_bound(inst)
+    assert bounded.optimal_value == unbounded.optimal_value == 0.5
+    assert (bounded.nodes_explored, unbounded.nodes_explored) == (1, 2)
+
+
 def test_branch_and_bound_accepts_warm_start():
     rng = np.random.default_rng(13)
     inst = random_full_instance(rng, n_lo=3, n_hi=3, m_lo=12, m_hi=12)

@@ -89,15 +89,6 @@ def test_build_raises_when_client_loses_every_candidate():
     assert "client 0" in str(err.value)
 
 
-def test_instance_from_beta_refuses_demands_of_another_length():
-    # clients 3 and 4 have no pair: the instance must not shrink to 3 clients
-    beta = {(0, 0): 0.5, (1, 1): 0.5, (0, 2): 0.3}
-    with pytest.raises(ValueError, match="^one demand per client required$"):
-        instance_from_beta(2, 5, beta, demands=[1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="^one demand per client required$"):
-        instance_from_beta(2, 2, {(0, 0): 0.5, (1, 1): 0.5}, demands=[1.0, 1.0, 1.0])
-
-
 def test_infeasible_client_reason_tells_missing_from_pruned():
     with pytest.raises(InfeasibleClientError, match="no candidate links") as err:
         instance_from_beta(2, 2, {(0, 0): 0.5})
@@ -108,7 +99,7 @@ def test_infeasible_client_reason_tells_missing_from_pruned():
     assert err.value.client == 1
 
 
-@pytest.mark.parametrize("reason", ["", "no candidate links"])
+@pytest.mark.parametrize("reason", ["outside every AP disk", "no candidate links"])
 def test_infeasible_client_error_survives_pickling(reason):
     # a worker process sends its exception to the caller pickled
     original = InfeasibleClientError(3, reason)
@@ -151,7 +142,7 @@ def test_utilization_equals_demand_over_rate():
 def test_build_is_idempotent():
     rng = np.random.default_rng(5)
     inst = random_subset_instance(rng)
-    again = instance_from_beta(inst.n_aps, inst.n_clients, beta_dict(inst), inst.demands)
+    again = instance_from_beta(inst.n_aps, inst.n_clients, beta_dict(inst))
     assert same_instance(again, inst)
 
 
@@ -183,15 +174,14 @@ def test_example1_matches_brute_force():
     single = example1_instance(1, 0.37)
     assert brute_force(single)[0] == pytest.approx(0.37, abs=1e-12)
 
-    inst4 = example1_instance(4, 0.7, off_diag=[0.9, 0.9, 0.9])
+    chain = {(0, 0): 0.7, (0, 1): 0.9, (1, 1): 0.7, (1, 2): 0.9, (2, 2): 0.7, (2, 3): 0.9}
+    inst4 = instance_from_beta(4, 4, {**chain, (3, 3): 0.7})
     assert brute_force(inst4)[0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_example1_validation():
     with pytest.raises(ValueError):
         example1_instance(0, 0.5)
-    with pytest.raises(ValueError):
-        example1_instance(3, 0.5, off_diag=[0.9])
 
 
 def test_example2_matches_brute_force():
@@ -363,7 +353,7 @@ def test_assemble_requires_finite_positive_values():
         with pytest.raises(ValueError, match=rule):
             build_instance(topo, [math.nan, 1.0, 1.0], pair_values(topo, rates))
         with pytest.raises(ValueError, match=rule):
-            instance_from_beta(1, 1, {(0, 0): 0.5}, demands=[math.inf])
+            build_instance(topo, [math.inf, 1.0, 1.0], pair_values(topo, rates))
         with pytest.raises(ValueError, match=rule):
             instance_from_beta(1, 1, {(0, 0): math.nan})
         # 1e-300 / 1e300 underflows to a zero utilization

@@ -181,7 +181,7 @@ def test_jain_invariant_under_ap_relabeling():
     base = jain_index(a)
     perm = stream.permutation(inst.n_aps)
     relabeled_beta = {(int(perm[i]), j): b for (i, j), b in beta_dict(inst).items()}
-    inst_p = instance_from_beta(inst.n_aps, inst.n_clients, relabeled_beta, inst.demands)
+    inst_p = instance_from_beta(inst.n_aps, inst.n_clients, relabeled_beta)
     a_p = make_assignment(inst_p, [int(perm[i]) for i in a.ap_of_client])
     assert jain_index(a_p) == pytest.approx(base, rel=1e-12)
 

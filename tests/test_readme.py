@@ -1,14 +1,32 @@
-"""README's output reference names what the program writes: the per-slot
-CSV table lists every `SlotResult` field in column order, and the aggregate
-paragraph names every key of the aggregate JSON."""
+"""README's reference names what the program takes and writes: the CLI
+synopsis lists every flag of each command, the per-slot CSV table lists
+every `SlotResult` field in column order, and the aggregate paragraph
+names every key of the aggregate JSON."""
 
+import argparse
 import re
 from dataclasses import fields
 from pathlib import Path
 
+from mmwassoc.cli import build_parser
 from mmwassoc.sim import SlotResult, aggregate
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_synopsis_lists_every_flag_of_each_command():
+    block = README.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in block.splitlines()}
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert synopsis == parsed
 
 
 def test_readme_names_every_slot_column_and_aggregate_key():
