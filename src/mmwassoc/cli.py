@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import platform
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -166,6 +167,9 @@ def _write_manifest(out: Path, command: str, config_path: str, chash: str) -> No
         "output_dir": str(out),
         "tool_version": __version__,
         "config_hash": chash,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
     }
     path = out / f"manifest_{command}_{chash}.json"
     _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -189,7 +193,6 @@ def slots_csv(result) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     inst = instance_from_json(_read_json(args.instance))
 
     resolved = {
@@ -218,11 +221,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         lp = solve_lp_relaxation(inst)
         solution["p_star"] = milp.optimal_value
         solution["p_relax"] = lp.optimal_value
-    _write_text(out / f"solve_{chash}.json", json.dumps(solution, indent=2) + "\n")
+    _write_text(args.out / f"solve_{chash}.json", json.dumps(solution, indent=2) + "\n")
     if args.trace:
         trace = "\n".join([f"# config_hash={chash}"] + trace_csv_lines(report)) + "\n"
-        _write_text(out / f"trace_{chash}.csv", trace)
-    _write_manifest(out, "solve", str(args.instance), chash)
+        _write_text(args.out / f"trace_{chash}.csv", trace)
+    _write_manifest(args.out, "solve", str(args.instance), chash)
     try:
         bound = convergence_bound(inst, args.step_scale, report.iterations_run)
     except OverflowError:  # the step's square: an a-priori bound of +inf
@@ -245,19 +248,10 @@ def _load_experiment_config(args: argparse.Namespace) -> tuple[ExperimentConfig,
     return cfg, asdict(cfg)
 
 
-def _check_jobs(args: argparse.Namespace) -> None:
-    # run_experiment checks jobs too, but sweep records a cell's error in its
-    # row and goes on: only this check makes `sweep --jobs 0` exit 2
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    _check_jobs(args)
     cfg, resolved = _load_experiment_config(args)
     chash = config_hash({**resolved, "command": "experiment"})
-    csv_path = _make_parent(out / f"experiment_{chash}.csv")  # a bad --out fails before a slot runs
+    csv_path = _make_parent(args.out / f"experiment_{chash}.csv")  # a bad --out fails before a slot
     try:
         result = run_experiment(cfg, jobs=args.jobs)
     except (GeometryError, WorkerError, ValueError) as exc:  # InfeasibleClientError is a ValueError
@@ -272,8 +266,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         # slots_with_exact is 0 with the oracle off: no slot was skipped
         "exact_skipped": agg["slots_feasible"] - agg["slots_with_exact"] if cfg.with_exact else 0,
     }
-    _write_text(out / f"experiment_{chash}.json", json.dumps(summary, indent=2) + "\n")
-    _write_manifest(out, "experiment", str(args.config), chash)
+    _write_text(args.out / f"experiment_{chash}.json", json.dumps(summary, indent=2) + "\n")
+    _write_manifest(args.out, "experiment", str(args.config), chash)
     print(f"{'metric':<16} value")
     for key, value in agg.items():
         print(f"{key:<16} {_fmt(value)}")
@@ -281,19 +275,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    _check_jobs(args)
-    try:
-        values = [int(v) for v in args.values.split(",")]
-    except ValueError as exc:
-        message = f"--values must be comma-separated integers, got {args.values!r}"
-        raise ValueError(message) from exc
     cfg, resolved = _load_experiment_config(args)
-    chash = config_hash(
-        {**resolved, "command": "sweep", "vary": args.vary, "values": values}
-    )
-    csv_path = _make_parent(out / f"sweep_{chash}.csv")  # a bad --out fails before a cell runs
-    rows = sweep(cfg, args.vary, values, jobs=args.jobs)
+    chash = config_hash({**resolved, "command": "sweep", "vary": args.vary, "values": args.values})
+    csv_path = _make_parent(args.out / f"sweep_{chash}.csv")  # a bad --out fails before a cell runs
+    rows = sweep(cfg, args.vary, args.values, jobs=args.jobs)
     columns = ["parameter", "value"] + sorted(
         {k for row in rows for k in row if k not in ("parameter", "value")}
     )
@@ -301,7 +286,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for row in rows:
         lines.append(",".join(_fmt(row.get(col)) for col in columns))
     _write_text(csv_path, "\n".join(lines) + "\n")
-    _write_manifest(out, "sweep", str(args.config), chash)
+    _write_manifest(args.out, "sweep", str(args.config), chash)
     for row in rows:
         status = row["error"] or f"p_daa={_fmt(row.get('p_daa'))}"
         print(f"{args.vary}={row['value']}: {status}")
@@ -361,71 +346,86 @@ def _verify_checks(seed: int) -> list[tuple[str, bool, str, Instance]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    seed = args.seed if args.seed is not None else 0
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
-    chash = config_hash({"command": "verify", "seed": seed, "tool": __version__})
-    if out.exists():
-        _check_stale(out, "verify", chash)
-    checks = _verify_checks(seed)
+    chash = config_hash({"command": "verify", "seed": args.seed, "tool": __version__})
+    _check_stale(args.out, "verify", chash)  # a missing --out globs no manifest
+    checks = _verify_checks(args.seed)
     failed = [c for c in checks if not c[1]]
     width = max(len(name) for name, *_ in checks)
     for name, ok, detail, _inst in checks:
         print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     for name, _ok, _detail, inst in failed:
         _write_text(
-            out / f"failed_{name}_{chash}.json",
+            args.out / f"failed_{name}_{chash}.json",
             json.dumps(instance_to_json(inst), indent=2) + "\n",
         )
-    _write_manifest(out, "verify", "", chash)
+    _write_manifest(args.out, "verify", "", chash)
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main reports a bad flag like any other bad input
+        raise ValueError(message)
+
+
+def _at_least(low: int):  # the reader of an integer flag >= low
+    def integer(text: str) -> int:  # argparse names it: "invalid integer value: 'x'"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmwassoc",
         description="Min-max AP-utilization client association toolkit",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default="out")
+    runs = argparse.ArgumentParser(add_help=False)  # the flags of experiment and sweep
+    runs.add_argument("--config", required=True)
+    runs.add_argument("--seed", type=_at_least(0), default=None)
+    runs.add_argument("--jobs", type=_at_least(1), default=1)
 
-    p_solve = sub.add_parser("solve", help="solve one instance file")
+    p_solve = sub.add_parser("solve", parents=[out], help="solve one instance file")
     p_solve.add_argument("instance", help="instance JSON file")
     p_solve.add_argument("--iters", type=int, default=10_000)
     p_solve.add_argument("--step-scale", type=float, default=1.0)
     p_solve.add_argument("--trace", action="store_true", help="write per-iteration CSV")
     p_solve.add_argument("--exact", action="store_true", help="also run the exact oracles")
-    p_solve.add_argument("--out", default="out")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--out", default="out")
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--jobs", type=int, default=1)
+    p_exp = sub.add_parser("experiment", parents=[runs, out], help="run a Monte Carlo experiment")
     p_exp.set_defaults(func=cmd_experiment)
 
-    p_sweep = sub.add_parser("sweep", help="run one experiment per parameter value")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = sub.add_parser(
+        "sweep", parents=[runs, out], help="run one experiment per parameter value"
+    )
     p_sweep.add_argument("--vary", required=True, choices=SWEEPABLE)
-    p_sweep.add_argument("--values", required=True, help="comma-separated integers")
-    p_sweep.add_argument("--out", default="out")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--values", required=True, type=_int_list, help="comma-separated integers")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", help="run the built-in oracle/bound checks")
-    p_verify.add_argument("--out", default="out")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify = sub.add_parser("verify", parents=[out], help="run the built-in oracle/bound checks")
+    p_verify.add_argument("--seed", type=_at_least(0), default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # bad input: a flag, a document, or an unusable --out
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,11 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import platform
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from mmwassoc import cli, exact, sim
@@ -303,11 +305,69 @@ def test_only_solve_takes_an_exact_flag(config_file, tmp_path, capsys, command):
     argv = [command, "--config", str(config_file), "--out", str(tmp_path / "out"), "--exact"]
     if command == "sweep":
         argv += ["--vary", "n_clients", "--values", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --exact\n"
+    assert not (tmp_path / "out").exists()
+
+
+SWEEP = ["sweep", "--config", "{config}", "--vary", "n_clients"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["solve", "{instance}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["experiment", "--config", "{config}", "--bogus"], "unrecognized arguments: --bogus"),
+        (SWEEP + ["--values", "4", "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus"], "required: command"),
+        (["solve"], "required: instance"),
+        (["experiment"], "required: --config"),
+        (SWEEP, "required: --values"),
+        ([], "required: command"),
+        (["experiment", "--config", "{config}", "--jobs", "x"], "argument --jobs: invalid"),
+        (SWEEP + ["--values", "4", "--seed", "x"], "argument --seed: invalid"),
+        (["solve", "{instance}", "--iters", "x"], "argument --iters: invalid"),
+        (SWEEP + ["--values", "4,x"], "argument --values: must be comma-separated integers"),
+        (SWEEP + ["--values", "4", "--jobs", "0"], "argument --jobs: must be >= 1, got 0"),
+        (["experiment", "--config", "{config}", "--jobs", "0"], "argument --jobs: must be >= 1"),
+        (["verify", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+    ],
+    ids=[
+        *(f"unknown-{name}" for name in ["solve", "experiment", "sweep", "verify", "bare"]),
+        *(f"missing-{name}" for name in ["instance", "config", "values", "command"]),
+        *(f"malformed-{name}" for name in ["jobs", "seed", "iters", "values"]),
+        "range-sweep-jobs", "range-experiment-jobs", "range-verify-seed",
+    ],
+)
+def test_every_bad_flag_exits_2_in_one_line(
+    chain_file, config_file, tmp_path, capsys, monkeypatch, argv, name
+):
+    monkeypatch.chdir(tmp_path)  # a command that ran would make the default --out here
+    argv = [arg.format(config=config_file, instance=chain_file) for arg in argv]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err, name), captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["experiment", "--help"]])
+def test_help_and_version_exit_0_on_stdout(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
         main(argv)
-    assert exit_.value.code == 2
-    assert "unrecognized arguments: --exact" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert exit_.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
+def test_manifest_records_the_interpreter(chain_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", str(chain_file), "--iters", "10", "--out", str(out)]) == 0
+    manifest = json.loads(next(out.glob("manifest_solve_*.json")).read_text())
+    running = (platform.python_version(), np.__version__, platform.machine())
+    assert (manifest["python"], manifest["numpy"], manifest["machine"]) == running
 
 
 def test_solve_exact_on_zero_clients(tmp_path):
