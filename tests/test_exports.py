@@ -1,19 +1,24 @@
 """The export lists stay true to the code: every name in a module's
-`__all__` exists, the type hints of every exported class and function
-resolve, and every public name the package re-exports is in the `__all__`
-of the module that defines it."""
+`__all__` exists, and the type hints of every exported class and function
+resolve.  Each public name has one import path, the module that defines
+it: the package root holds only `__version__`, loads no submodule, and is
+the one owner of the version that `pyproject.toml` reads."""
 
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
 import sys
-import types
 import typing
+from pathlib import Path
 
 import pytest
 
 import mmwassoc
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = [
     importlib.import_module(f"mmwassoc.{info.name}")
     for info in pkgutil.iter_modules(mmwassoc.__path__)
@@ -38,13 +43,41 @@ def test_every_exported_type_hint_resolves(module):
             typing.get_type_hints(value)
 
 
-def test_package_reexports_only_exported_names():
-    reexported = {
-        name: value
-        for name, value in vars(mmwassoc).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+def modules_loaded_by(statement: str) -> set[str]:
+    """The mmwassoc, numpy and multiprocessing modules that a fresh
+    interpreter holds after running `statement`."""
+    probe = (
+        f"import json, sys; {statement}; "
+        "print(json.dumps([m for m in sys.modules "
+        "if m.partition('.')[0] in ('mmwassoc', 'numpy', 'multiprocessing')]))"
+    )
+    # pyproject's pythonpath reaches only this process, not its children
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(done.stdout))
+
+
+def test_each_import_loads_only_what_it_names():
+    assert modules_loaded_by("import mmwassoc") == {"mmwassoc"}
+    channel = modules_loaded_by("import mmwassoc.channel")
+    assert {m for m in channel if m.startswith("mmwassoc")} == {
+        "mmwassoc",
+        "mmwassoc.channel",
+        "mmwassoc.instance",
     }
-    assert reexported
-    for name, value in reexported.items():
-        home = sys.modules[value.__module__]
-        assert name in getattr(home, "__all__", ()), f"{name} is not in {home.__name__}.__all__"
+    # the benchmark child's import still loads the whole package
+    child = modules_loaded_by("from mmwassoc import cli, dual_solver, exact, sim")
+    assert {m for m in child if m.startswith("mmwassoc")} == {"mmwassoc"} | {
+        f"mmwassoc.{info.name}" for info in pkgutil.iter_modules(mmwassoc.__path__)
+    }
+
+
+def test_pyproject_reads_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    dynamic = project["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "mmwassoc.__version__"}
