@@ -3,8 +3,10 @@
 Randomness is derived from one master seed through counter-based substreams:
 stream (seed, purpose, slot) = default_rng(SeedSequence([seed, purpose, slot]))
 with purposes 0=topology (no slot), 1=fading, 2=demands, 3=random policy.
-Every slot is therefore a pure function of (config, slot index), slots can be
-evaluated in parallel, and results are bitwise identical for any worker count.
+Every slot is therefore a pure function of (config, slot index), so any
+process may run any slot: with several processes each pulls the next
+unclaimed slot from a shared counter, and results are bitwise identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .instance import InfeasibleClientError, Instance, Topology, build_instance,
 from .instance import checked, is_int, is_real, topology_from_positions
 from .policies import jain_index, random_policy, rssi_policy
 
-if TYPE_CHECKING:  # imported at run time by the first Pipe(), never on the jobs=1 path
+if TYPE_CHECKING:  # imported at run time by the first Pipe() and Value(), never on jobs=1
     from multiprocessing.connection import Connection
+    from multiprocessing.sharedctypes import Synchronized
 
 __all__ = [
     "GeometryError",
@@ -58,7 +61,7 @@ class GeometryError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A worker process ended without reporting its share of the slots."""
+    """A worker process ended without reporting the slots it pulled."""
 
 
 def _stream(seed: int, purpose: int, slot: int | None = None) -> np.random.Generator:
@@ -257,71 +260,114 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     return score_slot(cfg, inst, report, slot)
 
 
-def _run_share(cfg: ExperimentConfig, topo: Topology, share: range) -> list[SlotResult]:
-    # run_slot is looked up at call time, so a wrapper set on the module applies
-    return [run_slot(cfg, topo, t) for t in share]
+def _claim(counter: Synchronized) -> int:
+    with counter.get_lock():
+        slot = counter.value
+        counter.value = slot + 1
+    return slot
 
 
-_workers: list[tuple[multiprocessing.Process, Connection]] = []  # kept, in share order
+def _pull(
+    cfg: ExperimentConfig, topo: Topology, counter: Synchronized, slot: int
+) -> tuple[list[SlotResult], tuple[int, Exception] | None]:
+    """Run `slot`, then each slot claimed after it, until none is left; a
+    failing slot ends every process's claims and comes back as (slot, exc)."""
+    results = []
+    while slot < cfg.slots:
+        try:
+            # run_slot is looked up at call time, so a wrapper set on the module applies
+            results.append(run_slot(cfg, topo, slot))
+        except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+            counter.value = cfg.slots  # no process claims another slot
+            return results, (slot, exc)
+        slot = _claim(counter)
+    return results, None
 
 
-def _worker_loop(conn: Connection, caller_end: Connection) -> None:
-    """Kept worker body: answer each (cfg, topo, share) with the share's
-    results or its exception, until the caller's end of the pipe closes."""
+_workers: list[tuple[multiprocessing.Process, Connection]] = []  # kept, in start order
+_counter: Synchronized | None = None  # the next unclaimed slot, shared with _workers
+
+
+def _worker_loop(conn: Connection, caller_end: Connection, counter: Synchronized) -> None:
+    """Kept worker body: answer each (cfg, topo) with the slots it pulled,
+    until the caller's end of the pipe closes."""
     caller_end.close()  # else a caller that dies without clean-up never reads as EOF
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     while True:
         try:
-            cfg, topo, share = conn.recv()
+            cfg, topo = conn.recv()
         except EOFError:
             return
-        try:
-            payload = _run_share(cfg, topo, share)
-        except Exception as exc:  # noqa: BLE001 - the caller re-raises it
-            payload = exc
-        conn.send(payload)
+        conn.send(_pull(cfg, topo, counter, _claim(counter)))
 
 
 def _close_workers() -> None:
-    """Terminate and join every kept worker; the next call forks new ones."""
+    """Terminate and join every kept worker and drop their counter, whose
+    lock a terminated worker may hold; the next call forks new ones."""
+    global _counter
     while _workers:
         proc, conn = _workers.pop()
         proc.terminate()
         proc.join()
         conn.close()
+    _counter = None
 
 
-def _run_shares(cfg: ExperimentConfig, topo: Topology, shares: list[range]) -> list[SlotResult]:
-    """Results of every share in slot order: the caller runs the first share,
-    one kept worker per other share sends its list back over its pipe.  Any
-    error closes every worker, so no late reply reaches a later experiment."""
+def _run_shares(cfg: ExperimentConfig, topo: Topology, processes: int) -> list[SlotResult]:
+    """Every slot's result in slot order, from `processes` processes.  The
+    caller takes slot 0, each process then claims the next unclaimed slot
+    from the shared counter until none is left; any error closes every
+    worker, so no late reply reaches a later experiment."""
+    if processes == 1:
+        return [run_slot(cfg, topo, t) for t in range(cfg.slots)]
+    global _counter
     try:
-        while len(_workers) < len(shares) - 1:
+        if not _workers:
+            _counter = multiprocessing.Value("q", 0)
+        while len(_workers) < processes - 1:
             conn, worker_end = multiprocessing.Pipe()
-            proc = multiprocessing.Process(target=_worker_loop, args=(worker_end, conn), daemon=True)
+            args = (worker_end, conn, _counter)
+            proc = multiprocessing.Process(target=_worker_loop, args=args, daemon=True)
             proc.start()
             worker_end.close()  # the worker holds the only copy: its death reads as EOFError
             _workers.append((proc, conn))
-        busy = list(zip(shares[1:], _workers))
-        for share, (_, conn) in busy:
-            conn.send((cfg, topo, share))
-        results = _run_share(cfg, topo, shares[0])
-        for share, (proc, conn) in busy:
+        busy = _workers[: processes - 1]
+        _counter.value = 1  # slot 0 is the caller's
+        for proc, conn in busy:
             try:
-                payload = conn.recv()
-            except EOFError:
+                conn.send((cfg, topo))
+            except BrokenPipeError:  # it died after the last experiment
                 proc.join()
+                raise WorkerError(f"a worker exited with code {proc.exitcode}") from None
+        results, failure = _pull(cfg, topo, _counter, 0)
+        if failure and failure[0] == len(results):
+            # the caller ran every slot below the failing one: no worker can fail lower
+            raise failure[1]
+        failures, dead = [failure] if failure else [], None
+        for proc, conn in busy:
+            try:
+                done, failed = conn.recv()
+            except EOFError:
+                dead = proc
+                continue
+            results += done
+            failures += [failed] if failed else []
+        # claims rise, so the smallest failing slot is where jobs=1 fails
+        first = min(failures, key=lambda f: f[0], default=(cfg.slots, None))
+        if dead is not None:
+            reported = {r.slot for r in results}
+            lost = [t for t in range(first[0]) if t not in reported]  # the dead worker's
+            if lost or not failures:
+                dead.join()
                 raise WorkerError(
-                    f"the worker for slots {share.start}..{share.stop - 1} exited with "
-                    f"code {proc.exitcode} before sending its results"
-                ) from None
-            if isinstance(payload, Exception):
-                raise payload
-            results.extend(payload)
+                    f"a worker exited with code {dead.exitcode} before reporting slots {lost}"
+                )
+        if failures:
+            raise first[1]
     except BaseException:
         _close_workers()
         raise
-    return results
+    return sorted(results, key=lambda r: r.slot)
 
 
 def _mean(values: Sequence[float]) -> float | None:
@@ -357,19 +403,17 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run every slot and average.  Worker count never changes the numbers:
     slots use counter-derived substreams and results merge in slot order.
 
-    `jobs` splits the slots into min(jobs, slots, CPUs) contiguous shares; the
-    calling process runs the first, one kept worker process each runs the
-    others; workers start on first need and serve later calls.  A share's
-    exception is re-raised here as with jobs=1; a worker that dies without
-    reporting raises WorkerError."""
+    `jobs` runs the slots in min(jobs, slots, CPUs) processes: the calling
+    process takes slot 0, then each process claims the next unclaimed slot
+    until none is left.  Kept worker processes start on first need and serve
+    later calls.  A failure stops every claim, and the error of the smallest
+    failing slot is re-raised here, as with jobs=1; a worker that dies
+    without reporting raises WorkerError naming its exit code."""
     checked(is_int(jobs), jobs, "jobs", "an integer")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     topo = generate_topology(cfg)
-    # contiguous shares, no more than there are slots or CPUs
-    workers = min(jobs, cfg.slots, os.cpu_count() or 1)
-    bounds = [cfg.slots * k // workers for k in range(workers + 1)]
-    results = _run_shares(cfg, topo, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+    results = _run_shares(cfg, topo, min(jobs, cfg.slots, os.cpu_count() or 1))
     return ExperimentResult(slots=results, aggregates=aggregate(results))
 
 

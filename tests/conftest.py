@@ -22,14 +22,14 @@ def no_child_left_alive():
 
 @pytest.fixture()
 def share_counts(monkeypatch):
-    """Run the harness's slot shares serially in this process and return the
-    list of share counts it was asked for, one per experiment.  No process
+    """Run the harness's slots serially in this process and return the list
+    of process counts it was asked for, one per experiment.  No process
     starts, so tests may pass any `jobs` value."""
     counts = []
 
-    def serial(cfg, topo, shares):
-        counts.append(len(shares))
-        return [r for share in shares for r in sim._run_share(cfg, topo, share)]
+    def serial(cfg, topo, processes):
+        counts.append(processes)
+        return [sim.run_slot(cfg, topo, t) for t in range(cfg.slots)]
 
     monkeypatch.setattr(sim, "_run_shares", serial)
     return counts

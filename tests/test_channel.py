@@ -29,6 +29,16 @@ def db(linear):
     return 10.0 * math.log10(linear)
 
 
+def test_rate_rounds_as_the_scalar_log2():
+    # a link of mc_default seed 1, slot 13, where numpy's log2 gives a rate
+    # one ulp below math.log2's: the pinned rates rest on the scalar call
+    p = default_params()
+    gain = float.fromhex("0x1.ee2d966dbce4fp-30")
+    assert compute_rate(p, gain).hex() == "0x1.4224aba28ee3fp+31"
+    snr = p.tx_power * gain / ((p.noise_density + p.interference_density) * p.bandwidth)
+    assert float(p.bandwidth * np.log2(1.0 + snr)).hex() == "0x1.4224aba28ee3ep+31"
+
+
 def test_gain_at_reference_distance_matches_direct_evaluation():
     p = default_params()
     # spreadsheet-style oracle: wavelength^2 / (16 pi^2) at d=d0, unit fading

@@ -72,6 +72,16 @@ def test_each_import_loads_only_what_it_names():
     assert {m for m in child if m.startswith("mmwassoc")} == {"mmwassoc"} | {
         f"mmwassoc.{info.name}" for info in pkgutil.iter_modules(mmwassoc.__path__)
     }
+    # the shared slot counter's modules cost a few ms of start-up: neither
+    # that import nor a jobs=1 run loads them, only the first jobs=2 run
+    counter = {"multiprocessing.synchronize", "multiprocessing.sharedctypes"}
+    assert not child & counter
+    for jobs in (1, 2):
+        run = modules_loaded_by(
+            "from mmwassoc import sim; sim.os.cpu_count = lambda: 2; sim.run_experiment("
+            f"sim.ExperimentConfig(n_aps=2, n_clients=6, slots=2, daa_iters=20), jobs={jobs})"
+        )
+        assert (run & counter == counter) == (jobs == 2)
 
 
 def test_pyproject_reads_the_version_from_the_package():

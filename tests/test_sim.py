@@ -19,6 +19,7 @@ from mmwassoc.instance import InfeasibleClientError
 from mmwassoc.sim import (
     ExperimentConfig,
     SlotResult,
+    WorkerError,
     aggregate,
     draw_instance,
     generate_topology,
@@ -144,7 +145,7 @@ def test_pool_is_bounded_by_slots_and_cpus(monkeypatch, share_counts, jobs, slot
 
 @pytest.mark.parametrize("slots", [1, 2, 3, 7])
 def test_every_job_count_gives_the_same_results(monkeypatch, slots):
-    # four CPUs, so that jobs up to 4 really start that many shares
+    # four CPUs, so that jobs up to 4 really start that many processes
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
     cfg = small_cfg(slots=slots, daa_iters=40, with_exact=True)
     serial = run_experiment(cfg, jobs=1)
@@ -174,7 +175,7 @@ def test_failing_caller_share_leaves_no_worker_alive(monkeypatch):
 
 @pytest.fixture()
 def process_starts(monkeypatch):
-    """Two CPUs, so that jobs=2 runs two shares; returns the list of every
+    """Two CPUs, so that jobs=2 runs two processes; returns the list of every
     process the test starts."""
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
     started, start = [], multiprocessing.process.BaseProcess.start
@@ -222,7 +223,7 @@ def test_failing_share_closes_every_worker_and_the_next_call_starts_afresh(proce
     cfg = small_cfg(slots=4, daa_iters=20)
     serial = run_experiment(cfg, jobs=1)
     run_experiment(cfg, jobs=2)
-    # every slot fails: the caller raises from its own share and never reads
+    # every slot fails: the caller raises at its slot 0 and never reads
     # the worker's reply, which must not reach the next call
     with pytest.raises(ValueError, match="too large to project"):
         run_experiment(small_cfg(slots=4, daa_iters=20, step_scale=1e17), jobs=2)
@@ -230,6 +231,91 @@ def test_failing_share_closes_every_worker_and_the_next_call_starts_afresh(proce
     result = run_experiment(cfg, jobs=2)
     assert len(process_starts) == 2
     assert repr(result.slots) == repr(serial.slots)
+
+
+def test_kept_worker_killed_between_experiments_is_a_worker_error(process_starts):
+    cfg = small_cfg(slots=4, daa_iters=20)
+    serial = run_experiment(cfg, jobs=1)
+    run_experiment(cfg, jobs=2)
+    (proc, _), = sim._workers
+    proc.kill()
+    proc.join(timeout=30)
+    with pytest.raises(WorkerError, match=r"^a worker exited with code -9$"):
+        run_experiment(cfg, jobs=2)
+    assert sim._workers == [] and multiprocessing.active_children() == []
+    run_experiment(cfg, jobs=2)  # starts afresh
+    (proc, _), = sim._workers
+    proc.kill()
+    proc.join(timeout=30)
+    # a sweep cell records the same error, and the next cell starts afresh
+    rows = sweep(cfg, "n_clients", [12, 12], jobs=2)
+    assert [row["error"] for row in rows] == ["WorkerError: a worker exited with code -9", None]
+    assert len(process_starts) == 3
+    assert repr(run_experiment(cfg, jobs=2).slots) == repr(serial.slots)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+def test_the_smallest_failing_slot_is_raised_for_any_jobs(monkeypatch, jobs):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    real = sim.run_slot
+
+    def failing(cfg, topo, slot):
+        if slot == 1:
+            time.sleep(0.2)  # slot 3 fails first
+        if slot in (1, 3):
+            raise RuntimeError(f"slot {slot} failed")
+        return real(cfg, topo, slot)
+
+    monkeypatch.setattr(sim, "run_slot", failing)  # before the first fork
+    with pytest.raises(RuntimeError, match=r"^slot 1 failed$"):
+        run_experiment(small_cfg(slots=6, daa_iters=20), jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+def test_uneven_slots_are_pulled_and_give_the_serial_results(process_starts, monkeypatch):
+    caller, real, ran_here = os.getpid(), sim.run_slot, []
+
+    def uneven(cfg, topo, slot):
+        if os.getpid() == caller:
+            ran_here.append(slot)
+        if slot % 2 == 0:
+            time.sleep(0.1)
+        return real(cfg, topo, slot)
+
+    monkeypatch.setattr(sim, "run_slot", uneven)
+    cfg = small_cfg(slots=8, daa_iters=20)
+    parallel = run_experiment(cfg, jobs=2)
+    pulled_by_worker = set(range(cfg.slots)) - set(ran_here)
+    serial = run_experiment(cfg, jobs=1)
+    assert repr(parallel.slots) == repr(serial.slots)
+    assert repr(parallel.aggregates) == repr(serial.aggregates)
+    assert pulled_by_worker
+
+
+def test_more_processes_than_cores_pull_each_slot_once(monkeypatch):
+    # near-free slots keep every process at the counter: a lost update
+    # would run a slot twice or never
+    processes = 2 * (os.cpu_count() or 1) + 1
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: processes)
+    monkeypatch.setattr(sim, "run_slot", lambda cfg, topo, slot: SlotResult(slot, False))
+    cfg = small_cfg(n_aps=2, n_clients=6, slots=20_000)
+    start = time.monotonic()
+    result = run_experiment(cfg, jobs=processes)
+    assert time.monotonic() - start < 60
+    assert [r.slot for r in result.slots] == list(range(cfg.slots))
+
+
+def test_closing_the_workers_drops_their_counter(process_starts):
+    cfg = small_cfg(slots=4, daa_iters=20)
+    run_experiment(cfg, jobs=2)
+    counter = sim._counter
+    run_experiment(cfg, jobs=2)
+    assert sim._counter is counter  # kept with the workers
+    sim._close_workers()
+    assert sim._counter is None
+    run_experiment(cfg, jobs=2)
+    assert sim._counter is not None and sim._counter is not counter
+    assert len(process_starts) == 2
 
 
 ORPHAN_SCRIPT = """
