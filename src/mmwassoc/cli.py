@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 from dataclasses import asdict, fields, replace
@@ -126,10 +127,17 @@ def parse_experiment_config(doc) -> ExperimentConfig:
         raise ValueError(f"{exc} (from {given[field]})") from exc
 
 
+def _finite_or_text(literal: str) -> float | str:
+    """A JSON number literal as a float, or as its text when it overflows
+    (`1e400`), so that the number readers refuse it by key like NaN."""
+    value = float(literal)
+    return value if abs(value) < math.inf else literal
+
+
 def _read_json(path: str | Path):
     """The JSON document in the file at `path`; any failure is a ValueError naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_finite_or_text)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ValueError(f"cannot parse {path}: {exc}") from exc
 
@@ -350,15 +358,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _check_stale(args.out, "verify", chash)  # a missing --out globs no manifest
     checks = _verify_checks(args.seed)
     failed = [c for c in checks if not c[1]]
-    width = max(len(name) for name, *_ in checks)
-    for name, ok, detail, _inst in checks:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     for name, _ok, _detail, inst in failed:
         _write_text(
             args.out / f"failed_{name}_{chash}.json",
             json.dumps(instance_to_json(inst), indent=2) + "\n",
         )
-    _write_manifest(args.out, "verify", "", chash)
+    _write_manifest(args.out, "verify", "", chash)  # files first: a closed stdout loses none
+    width = max(len(name) for name, *_ in checks)
+    for name, ok, detail, _inst in checks:
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}")
     print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
     return 1 if failed else 0
 
@@ -426,7 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
     except ValueError as exc:  # bad input: a flag, a document, or an unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -436,6 +446,12 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:  # Ctrl-C: the shell's status for SIGINT, no traceback
         print("error: interrupted", file=sys.stderr)
         return 130
+    except BrokenPipeError:  # stdout closed, as by `| head`: the shell's status for SIGPIPE
+        # the unwritten output stays buffered; send it to devnull so exit flushes quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

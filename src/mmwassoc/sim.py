@@ -12,9 +12,7 @@ any worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import signal
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -28,7 +26,8 @@ from .instance import InfeasibleClientError, Instance, Topology, build_instance,
 from .instance import checked, is_int, is_real, topology_from_positions
 from .policies import jain_index, random_policy, rssi_policy
 
-if TYPE_CHECKING:  # imported at run time by the first Pipe() and Value(), never on jobs=1
+if TYPE_CHECKING:  # imported at run time by the first jobs >= 2 run, never on jobs=1
+    import multiprocessing
     from multiprocessing.connection import Connection
     from multiprocessing.sharedctypes import Synchronized
 
@@ -291,6 +290,8 @@ _counter: Synchronized | None = None  # the next unclaimed slot, shared with _wo
 def _worker_loop(conn: Connection, caller_end: Connection, counter: Synchronized) -> None:
     """Kept worker body: answer each (cfg, topo) with the slots it pulled,
     until the caller's end of the pipe closes."""
+    import signal  # loaded by the caller's multiprocessing import before the fork
+
     caller_end.close()  # else a caller that dies without clean-up never reads as EOF
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     while True:
@@ -320,6 +321,8 @@ def _run_shares(cfg: ExperimentConfig, topo: Topology, processes: int) -> list[S
     worker, so no late reply reaches a later experiment."""
     if processes == 1:
         return [run_slot(cfg, topo, t) for t in range(cfg.slots)]
+    import multiprocessing  # about 0.6 MB and 5 ms that a jobs=1 process never pays
+
     global _counter
     try:
         if not _workers:

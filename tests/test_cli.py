@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -274,8 +277,9 @@ FLOAT_KEYS = [
 
 @pytest.mark.parametrize(
     "key, value",
-    [(key, value) for key in FLOAT_KEYS for value in ("Infinity", "-Infinity", "NaN")]
-    + [("exact_limit", "-Infinity"), ("exact_limit", "NaN")],
+    [(key, value) for key in FLOAT_KEYS for value in ("Infinity", "-Infinity", "NaN", "1e400")]
+    # an overflowing literal is refused like NaN: only Infinity means "no limit"
+    + [("exact_limit", value) for value in ("-Infinity", "NaN", "1e400", "-1e400")],
 )
 def test_config_rejects_non_finite_floats(tmp_path, capsys, key, value):
     path = tmp_path / "cfg.json"
@@ -616,6 +620,38 @@ def test_kept_worker_dying_in_a_later_experiment_is_one_line(tmp_path, capsys, m
     assert worker[0].exitcode == 3 and multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize(
+    "command, unbuffered, written",
+    [
+        ("experiment", "", 3),
+        ("experiment", "1", 3),
+        ("verify", "1", 1),  # the manifest, written before the first line is printed
+    ],
+    ids=["experiment-buffered", "experiment-unbuffered", "verify-unbuffered"],
+)
+def test_closed_stdout_exits_141_in_silence(tmp_path, command, unbuffered, written):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": 2, "daa_iters": 20}))
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out)]
+    if command == "experiment":
+        argv += ["--config", str(path)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # as after `| head -1`: every write to stdout fails with EPIPE
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "mmwassoc.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141  # the shell's status for SIGPIPE
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert len(list(out.iterdir())) == written
+
+
 @pytest.mark.parametrize("values", ["4,x", "4,,8", ""])
 def test_sweep_rejects_non_integer_values(config_file, tmp_path, capsys, values):
     argv = ["sweep", "--config", str(config_file), "--vary", "n_clients", "--values", values]
@@ -687,14 +723,23 @@ def one_error_line(err: str, name: str) -> bool:
         (lambda doc: doc.update(n_aps=1e20), "n_aps"),
         (lambda doc: doc.update(demands="11"), "demands"),
         (lambda doc: doc.update(links={"i": 0, "j": 0, "beta": 0.5, "rate": 2.0}), "links"),
+        (lambda doc: doc["links"][0].update(rate=math.inf), "links[0].rate"),
     ],
-    ids=["beta-string", "i-float", "n_aps-bool", "n_aps-1e20", "demands-string", "links-object"],
+    ids=[
+        "beta-string",
+        "i-float",
+        "n_aps-bool",
+        "n_aps-1e20",
+        "demands-string",
+        "links-object",
+        "rate-1e400",
+    ],
 )
 def test_solve_rejects_mistyped_documents(tmp_path, capsys, edit, name):
     doc = instance_to_json(example1_instance(2, 0.5))
     edit(doc)
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
     assert main(["solve", str(path), "--iters", "5", "--out", str(tmp_path / "out")]) == 2
     assert one_error_line(capsys.readouterr().err, name)
     assert not (tmp_path / "out").exists()

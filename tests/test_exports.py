@@ -43,13 +43,17 @@ def test_every_exported_type_hint_resolves(module):
             typing.get_type_hints(value)
 
 
+# the top-level packages of the process machinery only jobs >= 2 uses
+PROCESS_STACK = ("multiprocessing", "socket", "selectors")
+
+
 def modules_loaded_by(statement: str) -> set[str]:
-    """The mmwassoc, numpy and multiprocessing modules that a fresh
-    interpreter holds after running `statement`."""
+    """The mmwassoc, numpy, multiprocessing, socket and selectors modules
+    that a fresh interpreter holds after running `statement`."""
     probe = (
         f"import json, sys; {statement}; "
-        "print(json.dumps([m for m in sys.modules "
-        "if m.partition('.')[0] in ('mmwassoc', 'numpy', 'multiprocessing')]))"
+        "print(json.dumps([m for m in sys.modules if m.partition('.')[0] in "
+        f"('mmwassoc', 'numpy') + {PROCESS_STACK!r}]))"
     )
     # pyproject's pythonpath reaches only this process, not its children
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -57,6 +61,10 @@ def modules_loaded_by(statement: str) -> set[str]:
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     return set(json.loads(done.stdout))
+
+
+def process_modules(loaded: set[str]) -> set[str]:
+    return {m for m in loaded if m.partition(".")[0] in PROCESS_STACK}
 
 
 def test_each_import_loads_only_what_it_names():
@@ -72,16 +80,19 @@ def test_each_import_loads_only_what_it_names():
     assert {m for m in child if m.startswith("mmwassoc")} == {"mmwassoc"} | {
         f"mmwassoc.{info.name}" for info in pkgutil.iter_modules(mmwassoc.__path__)
     }
-    # the shared slot counter's modules cost a few ms of start-up: neither
-    # that import nor a jobs=1 run loads them, only the first jobs=2 run
+    # the process machinery costs about 0.6 MB and 5 ms of start-up: neither
+    # that import nor a jobs=1 run loads any of it, only the first jobs=2 run
+    assert process_modules(child) == set()
     counter = {"multiprocessing.synchronize", "multiprocessing.sharedctypes"}
-    assert not child & counter
     for jobs in (1, 2):
         run = modules_loaded_by(
             "from mmwassoc import sim; sim.os.cpu_count = lambda: 2; sim.run_experiment("
             f"sim.ExperimentConfig(n_aps=2, n_clients=6, slots=2, daa_iters=20), jobs={jobs})"
         )
-        assert (run & counter == counter) == (jobs == 2)
+        if jobs == 1:
+            assert process_modules(run) == set()
+        else:
+            assert {*PROCESS_STACK, *counter} <= process_modules(run)
 
 
 def test_pyproject_reads_the_version_from_the_package():
