@@ -308,9 +308,9 @@ def _verify_checks(seed: int) -> list[tuple[str, bool, str, Instance]]:
     """
     checks: list[tuple[str, bool, str, Instance]] = []
     fixtures = [
-        ("chain_m3", example1_instance(3, 0.5), 0.5),
-        ("chain_m8", example1_instance(8, 0.5), 0.5),
-        ("two_tier", example2_instance(2, 0.3, 2, 0.1), 0.5),
+        ("chain_m3", example1_instance(3), 0.5),
+        ("chain_m8", example1_instance(8), 0.5),
+        ("two_tier", example2_instance(), 0.5),
     ]
     for name, inst, expected in fixtures:
         milp = solve_milp_exact(inst)

@@ -281,49 +281,26 @@ def instance_from_beta(
     return _assemble(n_aps, [1.0] * n_clients, ap, client, beta=values)
 
 
-def example1_instance(m: int, beta_diag: float) -> Instance:
+def example1_instance(m: int) -> Instance:
     """Chain network with m clients and m APs.
 
     Client 0 reaches only AP 0; client j >= 1 reaches APs j-1 and j.  Every
-    link's utilization is `beta_diag`.
+    link's utilization is 0.5, so the optimum is 0.5.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    beta: dict[tuple[int, int], float] = {(0, 0): beta_diag}
+    beta = {(0, 0): 0.5}
     for j in range(1, m):
-        beta[(j - 1, j)] = beta_diag
-        beta[(j, j)] = beta_diag
+        beta[(j - 1, j)] = 0.5
+        beta[(j, j)] = 0.5
     return instance_from_beta(m, m, beta)
 
 
-def example2_instance(
-    n: int, type1_load: float, m_per_ap: int, beta2: float
-) -> Instance:
-    """Two-tier network with n APs.
-
-    Each AP serves one pinned client of utilization `type1_load` (skipped
-    when the load is 0), plus n*m_per_ap roaming clients that reach every AP
-    at utilization `beta2`.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m_per_ap < 0:
-        raise ValueError("m_per_ap must be >= 0")
-    if type1_load < 0.0:
-        raise ValueError("type1_load must be >= 0")
-    beta: dict[tuple[int, int], float] = {}
-    j = 0
-    if type1_load > 0.0:
-        for i in range(n):
-            beta[(i, j)] = type1_load
-            j += 1
-    for _ in range(n * m_per_ap):
-        for i in range(n):
-            beta[(i, j)] = beta2
-        j += 1
-    if j == 0:
-        raise ValueError("instance would have no clients (zero load, m_per_ap=0)")
-    return instance_from_beta(n, j, beta)
+def example2_instance() -> Instance:
+    """Two-tier network with 2 APs and optimum 0.5: each AP serves one pinned
+    client at utilization 0.3, and four roaming clients reach both at 0.1."""
+    roaming = {(i, j): 0.1 for j in range(2, 6) for i in (0, 1)}
+    return instance_from_beta(2, 6, {(0, 0): 0.3, (1, 1): 0.3, **roaming})
 
 
 def chosen_loads(inst: Instance, idx: np.ndarray) -> np.ndarray:

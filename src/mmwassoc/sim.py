@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +31,8 @@ if TYPE_CHECKING:  # imported at run time by the first jobs >= 2 run, never on j
     import multiprocessing
     from multiprocessing.connection import Connection
     from multiprocessing.sharedctypes import Synchronized
+
+    _Busy = Sequence[tuple[multiprocessing.Process, Connection]]  # the caller's busy workers
 
 __all__ = [
     "GeometryError",
@@ -259,27 +262,47 @@ def run_slot(cfg: ExperimentConfig, topo: Topology, slot: int) -> SlotResult:
     return score_slot(cfg, inst, report, slot)
 
 
-def _claim(counter: Synchronized) -> int:
-    with counter.get_lock():
+_LOCK_WAIT_S = 1.0  # a claim holds the counter's lock for microseconds
+
+
+@contextmanager
+def _locked(counter: Synchronized, busy: _Busy = ()) -> Iterator[None]:
+    """Hold the counter's lock.  A worker waits for it; the caller, given its
+    `busy` workers, raises WorkerError once the lock stays taken _LOCK_WAIT_S
+    while one of them has exited: a dead holder never releases it."""
+    lock = counter.get_lock()
+    while not lock.acquire(timeout=_LOCK_WAIT_S if busy else None):
+        if exited := [proc.exitcode for proc, _ in busy if proc.exitcode is not None]:
+            raise WorkerError(f"a worker exited with code {exited[0]} holding the slot counter")
+    try:
+        yield
+    finally:
+        lock.release()
+
+
+def _claim(counter: Synchronized, busy: _Busy = ()) -> int:
+    with _locked(counter, busy):
         slot = counter.value
         counter.value = slot + 1
     return slot
 
 
 def _pull(
-    cfg: ExperimentConfig, topo: Topology, counter: Synchronized, slot: int
+    cfg: ExperimentConfig, topo: Topology, counter: Synchronized, slot: int, busy: _Busy = ()
 ) -> tuple[list[SlotResult], tuple[int, Exception] | None]:
     """Run `slot`, then each slot claimed after it, until none is left; a
-    failing slot ends every process's claims and comes back as (slot, exc)."""
+    failing slot ends every process's claims and comes back as (slot, exc).
+    The caller passes its `busy` workers, so that its claims are bounded."""
     results = []
     while slot < cfg.slots:
         try:
             # run_slot is looked up at call time, so a wrapper set on the module applies
             results.append(run_slot(cfg, topo, slot))
         except Exception as exc:  # noqa: BLE001 - the caller re-raises it
-            counter.value = cfg.slots  # no process claims another slot
+            with _locked(counter, busy):
+                counter.value = cfg.slots  # no process claims another slot
             return results, (slot, exc)
-        slot = _claim(counter)
+        slot = _claim(counter, busy)
     return results, None
 
 
@@ -342,12 +365,15 @@ def _run_shares(cfg: ExperimentConfig, topo: Topology, processes: int) -> list[S
             except BrokenPipeError:  # it died after the last experiment
                 proc.join()
                 raise WorkerError(f"a worker exited with code {proc.exitcode}") from None
-        results, failure = _pull(cfg, topo, _counter, 0)
+        results, failure = _pull(cfg, topo, _counter, 0, busy)
         if failure and failure[0] == len(results):
             # the caller ran every slot below the failing one: no worker can fail lower
             raise failure[1]
         failures, dead = [failure] if failure else [], None
         for proc, conn in busy:
+            while not conn.poll(_LOCK_WAIT_S):  # a worker may wait on a dead holder's lock
+                with _locked(_counter, busy):
+                    pass
             try:
                 done, failed = conn.recv()
             except EOFError:

@@ -64,9 +64,9 @@ def relaxation_instances():
 def test_criterion_1_strong_duality_fixtures():
     start = time.time()
     fixtures = [
-        ("chain m=3", example1_instance(3, 0.5), 0.5),
-        ("chain m=8", example1_instance(8, 0.5), 0.5),
-        ("two-tier", example2_instance(2, 0.3, 2, 0.1), 0.5),
+        ("chain m=3", example1_instance(3), 0.5),
+        ("chain m=8", example1_instance(8), 0.5),
+        ("two-tier", example2_instance(), 0.5),
     ]
     worst_lp_gap = worst_dual_gap = 0.0
     for _name, inst, expected in fixtures:

@@ -48,7 +48,7 @@ def test_tracer_hooks_exist_and_are_restored(monkeypatch):
 
 
 def test_tracer_counts_are_ints_read_from_the_results(monkeypatch):
-    inst = example1_instance(3, 0.5)
+    inst = example1_instance(3)
     tracer = load_tracer(monkeypatch).Tracer()
     try:
         tracer.install(*MODULES)
@@ -82,7 +82,7 @@ def test_tracer_counts_every_hot_call_the_program_makes(monkeypatch):
     tracer = load_tracer(monkeypatch).Tracer()
     try:
         tracer.install(*MODULES)
-        sim.run_daa(example1_instance(3, 0.5), max_iters=7)
+        sim.run_daa(example1_instance(3), max_iters=7)
         assert sim.run_slot(cfg, topo, 0).p_exact is not None
     finally:
         tracer.restore()

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ requires_fork = pytest.mark.skipif(
 @pytest.fixture()
 def chain_file(tmp_path):
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(instance_to_json(example1_instance(3, 0.5))))
+    path.write_text(json.dumps(instance_to_json(example1_instance(3))))
     return path
 
 
@@ -76,7 +77,7 @@ def test_solve_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_solve_invalid_document_names_field(tmp_path, capsys):
-    doc = instance_to_json(example1_instance(2, 0.5))
+    doc = instance_to_json(example1_instance(2))
     del doc["demands"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -620,6 +621,62 @@ def test_kept_worker_dying_in_a_later_experiment_is_one_line(tmp_path, capsys, m
     assert worker[0].exitcode == 3 and multiprocessing.active_children() == []
 
 
+HELD_LOCK_SCRIPT = """
+import multiprocessing, os, sys, time
+from mmwassoc import cli, sim
+jobs, caller_wait = int(sys.argv[1]), float(sys.argv[2])
+os.cpu_count = lambda: jobs
+run_slot = sim.run_slot
+
+def dying_run_slot(cfg, topo, slot):
+    if slot == 0:  # the caller's: it claims again once every worker holds a slot
+        while sim._counter.get_obj().value < cfg.slots:  # read without the lock
+            time.sleep(0.01)
+        time.sleep(caller_wait)
+    elif slot == cfg.slots - 1:  # this worker dies holding the counter's lock
+        time.sleep(0.3)
+        sim._counter.get_lock().acquire()
+        os._exit(9)
+    else:
+        time.sleep(0.6)  # then waits for the lock in its own claim
+    return run_slot(cfg, topo, slot)
+
+sim.run_slot = dying_run_slot
+code = cli.main(sys.argv[3:])
+print(len(multiprocessing.active_children()), flush=True)
+sys.exit(code)
+"""
+
+
+@requires_fork
+@pytest.mark.parametrize(
+    "jobs, caller_wait",
+    [(2, 0.6), (3, 0.0)],
+    ids=["caller-claims-after-the-death", "caller-waits-for-a-reply"],
+)
+def test_worker_dying_with_the_counter_lock_is_one_line(tmp_path, jobs, caller_wait):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n_aps": 2, "n_clients": 6, "slots": jobs, "daa_iters": 20}))
+    argv = ["experiment", "--config", str(path), "--jobs", str(jobs), "--out", str(tmp_path / "out")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-c", HELD_LOCK_SCRIPT, str(jobs), str(caller_wait), *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        text=True, start_new_session=True,
+    ) as caller:
+        try:
+            # a caller that waits on the lock without a bound hangs: the timeout fails the test
+            out, err = caller.communicate(timeout=60)
+        finally:
+            try:
+                os.killpg(caller.pid, signal.SIGKILL)  # a hung caller and its workers
+            except ProcessLookupError:
+                pass
+    assert caller.returncode == 1
+    assert err == "error: experiment failed: a worker exited with code 9 holding the slot counter\n"
+    assert out == "0\n"  # no worker left running
+
+
 @pytest.mark.parametrize(
     "command, unbuffered, written",
     [
@@ -736,7 +793,7 @@ def one_error_line(err: str, name: str) -> bool:
     ],
 )
 def test_solve_rejects_mistyped_documents(tmp_path, capsys, edit, name):
-    doc = instance_to_json(example1_instance(2, 0.5))
+    doc = instance_to_json(example1_instance(2))
     edit(doc)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc).replace("Infinity", "1e400"))
@@ -887,7 +944,7 @@ def test_solve_prints_the_convergence_bound_next_to_the_gap(chain_file, tmp_path
     assert main(["solve", str(chain_file), "--iters", "200", "--out", str(out)]) == 0
     line = capsys.readouterr().out.strip()
     doc = json.loads(next(out.glob("solve_*.json")).read_text())
-    bound = convergence_bound(example1_instance(3, 0.5), 1.0, 200)
+    bound = convergence_bound(example1_instance(3), 1.0, 200)
     assert line == (
         f"solved: p_best={doc['p_best']!r} g_best={doc['g_best']!r} "
         f"gap={doc['gap_certificate']!r} bound={bound!r}"

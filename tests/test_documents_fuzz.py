@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from mmwassoc.cli import main
 from mmwassoc.instance import example1_instance, instance_to_json
 
-INSTANCE = instance_to_json(example1_instance(3, 0.5))
+INSTANCE = instance_to_json(example1_instance(3))
 CONFIG = {
     "n_aps": 2,
     "n_clients": 6,

@@ -115,7 +115,7 @@ def test_project_simplex_rejects_bad_input():
 
 
 def test_run_daa_solves_chain_fixture():
-    inst = example1_instance(3, 0.5)
+    inst = example1_instance(3)
     report = run_daa(inst, max_iters=2000, step_scale=1.0)
     assert report.dual_value == pytest.approx(0.5, abs=1e-3)
     assert report.primal_value == pytest.approx(0.5, abs=1e-3)
@@ -153,7 +153,7 @@ def test_run_daa_monotone_best_values():
 
 
 def test_run_daa_validates_arguments():
-    inst = example1_instance(2, 0.5)
+    inst = example1_instance(2)
     with pytest.raises(ValueError):
         run_daa(inst, max_iters=0)
     with pytest.raises(ValueError):
@@ -167,7 +167,7 @@ def test_run_daa_validates_arguments():
 
 
 def test_run_daa_takes_a_numpy_iteration_count():
-    inst = example1_instance(3, 0.5)
+    inst = example1_instance(3)
     assert run_daa(inst, np.int64(30)).duals == run_daa(inst, 30).duals
 
 
@@ -185,7 +185,7 @@ def test_stopped_chain_run_keeps_an_earlier_dual_value(m):
     # the chain's gap closes at k = 3 or 7 with g_best = 0.5; a full run
     # reaches a dual value one ulp above 0.5 from k = 26 to 31 on, at prices
     # that sum above 1 (see the next test)
-    inst = example1_instance(m, 0.5)
+    inst = example1_instance(m)
     stopped = run_daa(inst, max_iters=100, stop_at_zero_gap=True)
     full = run_daa(inst, max_iters=100)
     n = stopped.iterations_run
@@ -206,7 +206,7 @@ def test_dual_value_above_the_optimum_comes_from_prices_summing_above_one(m, bes
     # prices sum to slightly more than 1, not because the dual sum rounds:
     # the exact dual value at those prices rounds to the float reported, and
     # at the prices scaled onto the simplex it is exactly the optimum
-    inst = example1_instance(m, 0.5)
+    inst = example1_instance(m)
     with recording(dual_solver, "project_simplex") as projected:
         report = run_daa(inst, max_iters=100)
     assert report.duals.index(report.dual_value) + 1 == best_k
@@ -223,7 +223,7 @@ def test_dual_value_above_the_optimum_comes_from_prices_summing_above_one(m, bes
 
 
 def test_convergence_bound_decreasing_in_k():
-    inst = example1_instance(4, 0.5)
+    inst = example1_instance(4)
     bounds = [convergence_bound(inst, 1.0, k) for k in (1, 2, 5, 10, 100, 1000)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
@@ -231,24 +231,24 @@ def test_convergence_bound_decreasing_in_k():
 @pytest.mark.parametrize("step", [math.inf, math.nan, -math.inf, 0.0, -1.0])
 def test_convergence_bound_rejects_step_outside_positive_finite(step):
     with pytest.raises(ValueError, match="step_scale"):
-        convergence_bound(example1_instance(2, 0.5), step, 10)
+        convergence_bound(example1_instance(2), step, 10)
 
 
 @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
 def test_convergence_bound_refuses_a_k_that_is_not_an_integer(k):
     # 2.5 gave the k=3 bound and True the k=1 bound
     with pytest.raises(ValueError, match="^k must be an integer, got "):
-        convergence_bound(example1_instance(3, 0.5), 1.0, k)
+        convergence_bound(example1_instance(3), 1.0, k)
 
 
 @pytest.mark.parametrize("step", [True, "1.0", None])
 def test_convergence_bound_refuses_a_step_scale_that_is_not_a_real_number(step):
     with pytest.raises(ValueError, match="^step_scale must be a real number, got "):
-        convergence_bound(example1_instance(3, 0.5), step, 10)
+        convergence_bound(example1_instance(3), step, 10)
 
 
 def test_convergence_bound_takes_numpy_numbers():
-    inst = example1_instance(3, 0.5)
+    inst = example1_instance(3)
     expected = convergence_bound(inst, 1.0, 3)
     assert convergence_bound(inst, np.float64(1.0), np.int64(3)) == expected
     assert convergence_bound(inst, 1, 3) == expected
@@ -293,7 +293,7 @@ def test_duality_gap_bound_certifies_random_instances():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(instances(), st.integers(1, 60))
-@example(example1_instance(2, 0.5), 5)
+@example(example1_instance(2), 5)
 def test_trace_csv_lines_shape(inst, iters):
     # the trace and the report's values derive from the g_k and t_k series
     report = run_daa(inst, max_iters=iters)

@@ -138,7 +138,7 @@ def test_enumeration_bounded_by_a_warm_start_matches_brute_force_bitwise(inst, d
 
 @pytest.mark.parametrize("oracle", [enumerate_assignments, branch_and_bound, solve_milp_exact])
 def test_warm_start_with_non_integral_ap_ids_is_refused(oracle):
-    inst = example1_instance(3, 0.5)
+    inst = example1_instance(3)
     warm = replace(make_assignment(inst, [0, 1, 2]), ap_of_client=(0.9, 1.2, 2.7))
     with pytest.raises(ValueError, match="client 0"):
         oracle(inst, warm_start=warm)
@@ -343,7 +343,7 @@ def test_branch_and_bound_depth_is_not_bounded_by_recursion():
 
 
 def test_solve_milp_routes_small_to_enumeration():
-    inst = example1_instance(3, 0.5)
+    inst = example1_instance(3)
     result = solve_milp_exact(inst)
     assert result.optimal_value == pytest.approx(0.5, abs=1e-12)
     assert result.assignment.ap_of_client == (0, 1, 2)
@@ -368,9 +368,9 @@ def test_single_client_optimum_is_cheapest_link():
 
 
 def test_lp_relaxation_on_strong_duality_fixtures():
-    chain = example1_instance(3, 0.5)
+    chain = example1_instance(3)
     assert solve_lp_relaxation(chain).optimal_value == pytest.approx(0.5, abs=1e-9)
-    two_tier = example2_instance(2, 0.3, 2, 0.1)
+    two_tier = example2_instance()
     # equal-split utilization: pinned load + m_per_ap * beta2 per AP
     assert solve_lp_relaxation(two_tier).optimal_value == pytest.approx(0.5, abs=1e-9)
 

@@ -1,14 +1,15 @@
 """README's reference names what the program takes and writes: the CLI
-synopsis lists every flag of each command, the per-slot CSV table lists
-every `SlotResult` field in column order, and the aggregate paragraph
-names every key of the aggregate JSON."""
+synopsis lists every flag of each command, the experiment config section
+names every config key, the per-slot CSV table lists every `SlotResult`
+field in column order, and the aggregate paragraph names every key of the
+aggregate JSON."""
 
 import argparse
 import re
 from dataclasses import fields
 from pathlib import Path
 
-from mmwassoc.cli import build_parser
+from mmwassoc.cli import CONFIG_KEYS, build_parser
 from mmwassoc.sim import SlotResult, aggregate
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -27,6 +28,12 @@ def test_readme_synopsis_lists_every_flag_of_each_command():
         for name, sub in commands.items()
     }
     assert synopsis == parsed
+
+
+def test_readme_config_section_names_every_config_key():
+    section = README.split("### Experiment config", 1)[1].split("\n### ", 1)[0]
+    unnamed = [key for key in CONFIG_KEYS if f'"{key}"' not in section and f"`{key}`" not in section]
+    assert not unnamed, f"README's experiment config section does not name {unnamed}"
 
 
 def test_readme_names_every_slot_column_and_aggregate_key():

@@ -272,6 +272,46 @@ def test_the_smallest_failing_slot_is_raised_for_any_jobs(monkeypatch, jobs):
     assert multiprocessing.active_children() == []
 
 
+def test_a_slot_lost_below_the_smallest_failing_slot_is_a_worker_error(process_starts, monkeypatch):
+    real = sim.run_slot
+
+    def run_slot(cfg, topo, slot):
+        if slot == 0:  # the caller's: the worker pulls slot 1 and dies before it goes on
+            sim._workers[0][0].join(timeout=30)
+        elif slot == 1:
+            os._exit(3)
+        elif slot == 2:
+            raise RuntimeError("slot 2 failed")
+        return real(cfg, topo, slot)
+
+    monkeypatch.setattr(sim, "run_slot", run_slot)
+    with pytest.raises(WorkerError, match=r"^a worker exited with code 3 before reporting slots \[1\]$"):
+        run_experiment(small_cfg(slots=6, daa_iters=20), jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_slot_below_a_dead_workers_slots_decides(monkeypatch):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 3)
+    real = sim.run_slot
+
+    def run_slot(cfg, topo, slot):
+        if slot == 0:
+            time.sleep(0.3)
+        elif slot == 1:
+            # outlasts the caller's wait for a reply: a worker that died
+            # without the counter's lock must not make that wait an error
+            time.sleep(1.5)
+            raise RuntimeError("slot 1 failed")
+        elif slot == 2:
+            os._exit(4)
+        return real(cfg, topo, slot)
+
+    monkeypatch.setattr(sim, "run_slot", run_slot)
+    with pytest.raises(RuntimeError, match=r"^slot 1 failed$"):
+        run_experiment(small_cfg(slots=6, daa_iters=20), jobs=3)
+    assert multiprocessing.active_children() == []
+
+
 def test_uneven_slots_are_pulled_and_give_the_serial_results(process_starts, monkeypatch):
     caller, real, ran_here = os.getpid(), sim.run_slot, []
 
